@@ -28,11 +28,6 @@ _SCALES = {"smoke": SMOKE_CONFIG, "default": DEFAULT_CONFIG,
            "paper": PAPER_CONFIG}
 BENCH_CONFIG = _SCALES[os.environ.get("REPRO_BENCH_SCALE", "default")]
 
-#: Worker-process count used by the sharded benches (bench_shard.py) and
-#: stamped into the summary metadata so repro.perf.check can report
-#: which parallelism the numbers were taken at.
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
-
 
 @pytest.fixture(scope="session", autouse=True)
 def perf_recorder():
@@ -44,7 +39,6 @@ def perf_recorder():
         scale=os.environ.get("REPRO_BENCH_SCALE", "default"),
         l=BENCH_CONFIG.l,
         default_n=BENCH_CONFIG.default_n,
-        workers=BENCH_WORKERS,
         cpu_count=os.cpu_count(),
     )
     previous = set_recorder(recorder)
@@ -57,11 +51,6 @@ def perf_recorder():
 @pytest.fixture(scope="session")
 def bench_config():
     return BENCH_CONFIG
-
-
-@pytest.fixture(scope="session")
-def bench_workers():
-    return BENCH_WORKERS
 
 
 @pytest.fixture(scope="session")

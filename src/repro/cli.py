@@ -22,7 +22,6 @@ but fails (bad data, infeasible l, failed audit), :data:`EXIT_USAGE`
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.core.anatomize import anatomize
@@ -56,20 +55,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_anatomize(args: argparse.Namespace) -> int:
     schema = infer_schema_from_csv(args.microdata)
     table = load_table(schema, args.microdata)
-    shards = args.shards if args.shards is not None else (
-        args.workers if args.workers > 0 else os.cpu_count() or 1)
-    if shards > 1:
-        from repro.shard import resolve_workers, shard_anatomize
-
-        workers = resolve_workers(args.workers, shards)
-        published = shard_anatomize(table, args.l, shards=shards,
-                                    workers=workers, seed=args.seed)
-        parallel = f" ({shards} shards, {workers} workers)"
-    else:
-        published = anatomize(table, l=args.l, seed=args.seed)
-        parallel = ""
+    published = anatomize(table, l=args.l, seed=args.seed)
     save_anatomized(published, args.qit, args.st)
-    print(f"anatomized {len(table):,} tuples at l={args.l}{parallel}: "
+    print(f"anatomized {len(table):,} tuples at l={args.l}: "
           f"{published.st.group_count():,} QI-groups")
     print(f"  QIT -> {args.qit}")
     print(f"  ST  -> {args.st}")
@@ -139,8 +127,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = ReproService(mode=args.mode, cache_size=args.cache_size,
                            batch_window_s=args.batch_window_ms / 1000.0,
                            trace=args.trace, log_json=args.log_json,
-                           default_shards=args.shards,
-                           default_workers=args.workers,
                            monitor=args.monitor,
                            monitor_config=monitor_config,
                            slo=slo,
@@ -152,7 +138,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"serving on http://{host}:{port}", flush=True)
     print(f"  mode={args.mode} cache_size={args.cache_size} "
           f"batch_window={args.batch_window_ms:g} ms "
-          f"shards={args.shards} workers={args.workers} "
           f"trace={'on' if args.trace else 'off'} "
           f"log_json={'on' if args.log_json else 'off'} "
           f"monitor={'on' if args.monitor else 'off'} "
@@ -206,14 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=10,
                    help="diversity parameter (default 10)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="anatomize shards in this many processes "
-                        "(0 = one per shard capped at the CPU count; "
-                        "default 1 = sequential)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="hash-shard count (default: --workers, so each "
-                        "worker gets one shard; 1 is bit-identical to "
-                        "the sequential publisher)")
     p.set_defaults(func=_cmd_anatomize)
 
     p = sub.add_parser("verify",
@@ -248,14 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result-cache capacity in entries (0 disables)")
     p.add_argument("--batch-window-ms", type=float, default=1.0,
                    help="micro-batch coalescing window (default 1 ms)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="default shard count for new publications "
-                        "(>1 serves queries through the sharded "
-                        "fan-out; default 1)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="default fan-out worker processes per sharded "
-                        "publication (0 = one per shard capped at the "
-                        "CPU count; default 1 = in-process)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request")
     p.add_argument("--trace", action="store_true",

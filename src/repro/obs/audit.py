@@ -32,13 +32,10 @@ Three quantities per release:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.core.privacy import AnatomyAdversary
 from repro.core.tables import AnatomizedTables
-from repro.exceptions import ReproError
 from repro.obs import metrics
 
 #: Above this many distinct QI vectors the audit reports the group-level
@@ -145,44 +142,6 @@ def audit_publication(release: AnatomizedTables, l: int, *,
         breach_probability=float(breach), method=method,
         eligibility_margin=eligibility_margin,
         ok=breach <= bound + 1e-12)
-
-
-def audit_sharded_publication(release: AnatomizedTables, l: int,
-                              shard_group_ranges: Sequence[tuple[int,
-                                                                 int]],
-                              *,
-                              exact_limit: int = DEFAULT_EXACT_LIMIT,
-                              ) -> PrivacyAudit:
-    """Audit a shard-merged release: structure first, then privacy.
-
-    A sharded publish is only sound if the shards' Group-ID ranges are
-    pairwise disjoint — colliding IDs would silently pool two groups'
-    sensitive histograms in the merged ST, and the audited "group"
-    would not be a group anyone published.  This wrapper therefore
-    (1) rejects overlapping ``shard_group_ranges`` with
-    :class:`~repro.exceptions.ReproError`, (2) cross-checks that the
-    merged ST's Group-IDs all fall inside the declared ranges, and then
-    (3) audits the *merged* release with :func:`audit_publication` —
-    per Theorem 1 the ``1/l`` bound is per group, so the merged audit
-    certifies exactly what a single-shard audit would.
-    """
-    from repro.shard.plan import check_disjoint_ranges
-
-    check_disjoint_ranges(shard_group_ranges)
-    st = release.st
-    if len(st):
-        declared = np.zeros(int(st.group_ids.max()) + 1, dtype=bool)
-        for lo, hi in shard_group_ranges:
-            if hi >= lo:
-                declared[lo:min(hi, len(declared) - 1) + 1] = True
-        stray = np.unique(st.group_ids[~declared[st.group_ids]])
-        if len(stray):
-            raise ReproError(
-                f"merged ST publishes Group-IDs outside every shard's "
-                f"declared range: {stray[:8].tolist()}; the shard "
-                f"merge is inconsistent and the audit would certify "
-                f"groups of unknown provenance")
-    return audit_publication(release, l, exact_limit=exact_limit)
 
 
 def record_publication_audit(publication: str, version: int,

@@ -15,11 +15,11 @@ Two measurement paths, chosen per publication:
 * **ground truth** — when the publication retains its published
   microdata (the default), actual counts come from a
   :class:`~repro.query.batch.MicrodataIndex` over exactly the rows
-  behind the release, estimates from the snapshot's own estimator
-  (sharded or not), and the error is the paper's average relative
-  error via :func:`repro.query.evaluate.error_summary` — the monitor
-  and the offline Section-7 evaluation share one code path, so they
-  agree to the last bit;
+  behind the release, estimates from the snapshot's own estimator,
+  and the error is the paper's average relative error via
+  :func:`repro.query.evaluate.error_summary` — the monitor and the
+  offline Section-7 evaluation share one code path, so they agree to
+  the last bit;
 * **variance model** — when microdata was dropped
   (``retain_microdata=False``), actual counts are unavailable by
   design; the worker falls back to the Section-5.4 error model

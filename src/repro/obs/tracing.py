@@ -206,42 +206,6 @@ class Tracer:
         if dropping:
             self._record_drop_metric()
 
-    def ingest_external(self, name: str, duration_s: float,
-                        context: ContextSnapshot | None = None, *,
-                        attributes: dict[str, Any] | None = None,
-                        start_s: float = 0.0) -> dict:
-        """Splice an externally timed region into the trace.
-
-        Work executed where the contextvar cannot reach — a worker
-        *process* of the sharding layer, most prominently — reports its
-        wall-clock duration back with its result; this records it as a
-        finished span parented to ``context`` (or as a root span when
-        ``context`` is ``None``), so per-shard timings appear as
-        children of the fan-out span that dispatched them.
-        """
-        if context is None:
-            trace_id, parent_id = _new_id(), None
-        else:
-            trace_id, parent_id = context.trace_id, context.span_id
-        record: dict[str, Any] = {
-            "name": name,
-            "trace_id": trace_id,
-            "span_id": _new_id(),
-            "parent_id": parent_id,
-            "start_s": start_s,
-            "duration_s": float(duration_s),
-        }
-        if attributes:
-            record["attributes"] = dict(attributes)
-        with self._lock:
-            dropping = len(self._spans) == self._spans.maxlen
-            if dropping:
-                self._dropped += 1
-            self._spans.append(record)
-        if dropping:
-            self._record_drop_metric()
-        return record
-
     def finished(self) -> list[dict]:
         """Finished span records, oldest first."""
         with self._lock:

@@ -6,7 +6,7 @@ time regressed by more than the threshold (default 2x).  The quick-tier
 smoke job runs::
 
     REPRO_BENCH_SCALE=smoke python -m pytest benchmarks \
-        -k "algorithm_speed or batch_queries or service or shard or monitor"
+        -k "algorithm_speed or batch_queries or service or monitor"
     python -m repro.perf.check
 
 Record (or refresh) the baseline from the current summary with
@@ -80,13 +80,13 @@ def compare(current: dict, baseline: dict,
 
 def report_header(current: dict, baseline: dict) -> list[str]:
     """Environment lines printed above the diff: the CPU count of this
-    runner plus the worker counts recorded in each summary's metadata,
-    so a "regression" caused by comparing a 16-core baseline against a
-    2-core runner is readable as such."""
+    runner plus the scale and CPU count recorded in each summary's
+    metadata, so a "regression" caused by comparing a 16-core baseline
+    against a 2-core runner is readable as such."""
     def describe(document: dict) -> str:
         metadata = document.get("metadata") or {}
         fields = [f"{key}={metadata[key]}"
-                  for key in ("scale", "workers", "cpu_count")
+                  for key in ("scale", "cpu_count")
                   if key in metadata]
         return ", ".join(fields) if fields else "no metadata"
 
@@ -115,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no benchmark summary at {args.current}\n"
               f"usage: run the benchmark suite first, e.g.\n"
               f"  REPRO_BENCH_SCALE=smoke python -m pytest benchmarks "
-              f"-k 'algorithm_speed or batch_queries or service or shard or monitor'\n"
+              f"-k 'algorithm_speed or batch_queries or service or monitor'\n"
               f"then re-run python -m repro.perf.check",
               file=sys.stderr)
         return 2

@@ -22,11 +22,11 @@ The written summary aggregates spans by name (count / total / mean /
 min / max seconds) so ``repro.perf.check`` can diff two runs.
 
 ``span`` is a shim over :mod:`repro.obs.tracing`: one instrumented
-region simultaneously feeds the recorder's flat aggregates (the format
-above, unchanged) and — when a tracer is installed — a hierarchical
-trace span with the same name and attributes.  Either sink may be
-enabled independently; the recorder's summary stays bit-identical to
-the pre-tracing format either way.
+region simultaneously feeds the recorder's flat aggregates and — when
+a tracer is installed — a hierarchical trace span with the same name
+and attributes.  Either sink may be enabled independently; the
+recorder's aggregates are the same either way.  Only the tracer keeps
+per-span attributes.
 
 :class:`PerfRecorder` is thread-safe: the serving stack records spans
 from ``ThreadingHTTPServer`` handler threads and the frontend's worker
@@ -48,24 +48,36 @@ SCHEMA_VERSION = 1
 
 
 class PerfRecorder:
-    """Collects named wall-clock spans and renders a JSON summary.
+    """Folds named wall-clock spans into per-name aggregates and renders
+    a JSON summary.
 
-    Safe for concurrent ``record`` / ``totals`` / ``write`` calls from
-    multiple threads; entries are immutable once appended.
+    Memory is bounded by the number of distinct span names, not the
+    number of spans, so one recorder can live as long as a server.
+    ``record`` keeps its ``**info`` keywords for call compatibility but
+    does not store them; per-span attributes belong to a
+    :class:`~repro.obs.tracing.Tracer`.  Safe for concurrent ``record``
+    / ``totals`` / ``write`` calls from multiple threads.
     """
 
     def __init__(self, **metadata) -> None:
         self.metadata = dict(metadata)
-        self.entries: list[dict] = []
+        self._aggregates: dict[str, list] = {}
         self._lock = threading.Lock()
 
     def record(self, name: str, seconds: float, **info) -> None:
-        """Record one completed span of ``seconds`` wall-clock time."""
-        entry: dict = {"name": str(name), "seconds": float(seconds)}
-        if info:
-            entry["info"] = info
+        """Fold one completed span of ``seconds`` wall-clock time into
+        its name's aggregate."""
+        seconds = float(seconds)
         with self._lock:
-            self.entries.append(entry)
+            stats = self._aggregates.get(name)
+            if stats is None:
+                # [count, total, min, max]
+                self._aggregates[name] = [1, seconds, seconds, seconds]
+            else:
+                stats[0] += 1
+                stats[1] += seconds
+                stats[2] = min(stats[2], seconds)
+                stats[3] = max(stats[3], seconds)
 
     @contextmanager
     def span(self, name: str, **info):
@@ -76,26 +88,14 @@ class PerfRecorder:
         finally:
             self.record(name, time.perf_counter() - start, **info)
 
-    def _entries_snapshot(self) -> list[dict]:
-        with self._lock:
-            return list(self.entries)
-
     def totals(self) -> dict[str, dict]:
         """Aggregate statistics per span name."""
-        aggregated: dict[str, dict] = {}
-        for entry in self._entries_snapshot():
-            stats = aggregated.setdefault(entry["name"], {
-                "count": 0, "total_s": 0.0,
-                "min_s": float("inf"), "max_s": 0.0,
-            })
-            seconds = entry["seconds"]
-            stats["count"] += 1
-            stats["total_s"] += seconds
-            stats["min_s"] = min(stats["min_s"], seconds)
-            stats["max_s"] = max(stats["max_s"], seconds)
-        for stats in aggregated.values():
-            stats["mean_s"] = stats["total_s"] / stats["count"]
-        return aggregated
+        with self._lock:
+            aggregates = [(name, list(stats))
+                          for name, stats in self._aggregates.items()]
+        return {name: {"count": count, "total_s": total, "min_s": low,
+                       "max_s": high, "mean_s": total / count}
+                for name, (count, total, low, high) in aggregates}
 
     def summary(self) -> dict:
         """The machine-readable document ``write`` serializes."""
@@ -103,7 +103,6 @@ class PerfRecorder:
             "schema_version": SCHEMA_VERSION,
             "metadata": self.metadata,
             "spans": self.totals(),
-            "entries": self._entries_snapshot(),
         }
 
     def write(self, path: str) -> str:

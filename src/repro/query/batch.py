@@ -296,37 +296,6 @@ class AnatomyIndex:
             counts |= contribution  # planes carry disjoint bits: | is +
         return counts
 
-    def evaluate_contributions(self, encoding: WorkloadEncoding
-                               ) -> np.ndarray:
-        """Shard-exact per-group contributions: the ``(Q, m)`` matrix
-        whose column ``j`` is ``count_j(V_s) * p_j`` for every query —
-        the exact-mode summands *before* the final sum over groups.
-
-        Every entry is computed with order-free arithmetic: the
-        sensitive contraction is integer-valued (exact under float64
-        BLAS no matter the blocking), and the predicate fraction is an
-        elementwise per-group divide.  A shard holding a contiguous
-        Group-ID slice therefore computes *the same columns* the
-        unsharded index would, so concatenating shard contributions in
-        Group-ID order and summing rows once
-        (:func:`combine_contributions`) reproduces
-        ``evaluate(encoding, mode="exact")`` **bit for bit** — the one
-        rounding-sensitive reduction happens exactly once, over the
-        same contiguous array, wherever the columns were computed.
-        """
-        out = np.empty((encoding.n_queries, self.m), dtype=np.float64)
-        if self.m == 0 or encoding.n_queries == 0:
-            return out
-        for lo, hi, wlo, whi in _chunks(encoding.n_queries):
-            counts = self._satisfied_counts(encoding, wlo, whi, hi - lo)
-            fractions = counts.T.astype(np.float64)
-            fractions /= self.group_sizes
-            count_s = (encoding.sens_indicator[lo:hi]
-                       @ self._st_matrix_f.T)
-            count_s *= fractions
-            out[lo:hi] = count_s
-        return out
-
     def evaluate_with_variance(self, encoding: WorkloadEncoding
                                ) -> tuple[np.ndarray, np.ndarray]:
         """Estimates plus the paper's Section-5.4 error variance.
@@ -404,26 +373,6 @@ class AnatomyIndex:
                 count_s *= fractions
                 out[lo:hi] = count_s.sum(axis=1)
         return out
-
-
-def combine_contributions(contributions: Sequence[np.ndarray],
-                          n_queries: int) -> np.ndarray:
-    """Combine per-shard :meth:`AnatomyIndex.evaluate_contributions`.
-
-    ``contributions`` must be ordered by the shards' Group-ID ranges;
-    concatenating them rebuilds the unsharded ``(Q, m)`` matrix exactly
-    (shards hold contiguous Group-ID slices and every entry is computed
-    with order-free arithmetic), and the single row sum then performs
-    the *same* contiguous pairwise reduction ``mode="exact"`` performs
-    — so the result is bit-identical to the unsharded exact path, for
-    every shard count.
-    """
-    blocks = [c for c in contributions if c.shape[1]]
-    if not blocks:
-        return np.zeros(n_queries, dtype=np.float64)
-    stacked = blocks[0] if len(blocks) == 1 else \
-        np.concatenate(blocks, axis=1)
-    return stacked.sum(axis=1)
 
 
 #: Release -> AnatomyIndex, weakly keyed so an index dies with its

@@ -6,11 +6,9 @@ frontend.  Endpoints (all bodies JSON):
 
 * ``GET  /publications`` — list publications with statistics.
 * ``POST /publications`` — create: ``{"name", "l", "schema", "seed"?,
-  "shards"?, "workers"?}`` with the schema spec of
-  :func:`repro.service.registry.schema_from_json`; ``shards > 1``
-  serves queries through the sharded fan-out of
-  :class:`~repro.shard.query.ShardedQueryEvaluator` (``workers``
-  processes, ``0``/``null`` = one per shard capped at the CPU count).
+  "retain_microdata"?}`` with the schema spec of
+  :func:`repro.service.registry.schema_from_json`; unknown keys are
+  ignored.
 * ``GET  /publications/<name>`` — one publication's statistics.
 * ``DELETE /publications/<name>`` — drop it.
 * ``POST /publications/<name>/ingest`` — ``{"rows": [[...], ...],
@@ -113,16 +111,12 @@ class ReproService:
                  recorder: PerfRecorder | None = None,
                  trace: bool = False, log_json: bool = False,
                  log_stream: TextIO | None = None,
-                 default_shards: int = 1,
-                 default_workers: int | None = 1,
                  monitor: bool = False,
                  monitor_config: CanaryConfig | None = None,
                  slo: SLOConfig | None = None,
                  telemetry_path: str | None = None,
                  telemetry_interval_s: float = 1.0,
                  telemetry_memory: bool = False) -> None:
-        self.default_shards = int(default_shards)
-        self.default_workers = default_workers
         self.registry = PublicationRegistry()
         self.frontend = QueryFrontend(
             self.registry, cache_size=cache_size,
@@ -400,13 +394,23 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise _HTTPError(400, f"request body exceeds "
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the stream cannot carry a next
+            # request: answer, then hang up.
+            self.close_connection = True
+            if length < 0:
+                raise _HTTPError(400, "malformed Content-Length header")
+            raise _HTTPError(413, f"request body exceeds "
                                   f"{MAX_BODY_BYTES} bytes")
         if length == 0:
             return {}
@@ -554,17 +558,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         if schema_spec is None:
             raise _HTTPError(400, "create needs a 'schema' spec")
         schema = schema_from_json(schema_spec)
-        shards = body.get("shards", service.default_shards)
-        workers = body.get("workers", service.default_workers)
-        if not isinstance(shards, int) or shards < 1:
-            raise _HTTPError(400, "'shards' must be an integer >= 1")
-        if workers is not None and (not isinstance(workers, int)
-                                    or workers < 0):
-            raise _HTTPError(400, "'workers' must be an integer >= 0 "
-                                  "(0 = one per shard) or null")
         publication = service.registry.create(
-            name, schema, l, seed=body.get("seed", 0), shards=shards,
-            workers=workers,
+            name, schema, l, seed=body.get("seed", 0),
             retain_microdata=bool(body.get("retain_microdata", True)))
         payload = publication.stats()
         payload["schema"] = schema_to_json(schema)

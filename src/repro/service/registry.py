@@ -33,13 +33,11 @@ from repro.obs import metrics
 from repro.obs.audit import (
     PrivacyAudit,
     audit_publication,
-    audit_sharded_publication,
     record_publication_audit,
 )
 from repro.perf import span
 from repro.query.estimators import AnatomyEstimator
 from repro.service.locks import RWLock
-from repro.shard.query import ShardedQueryEvaluator
 
 
 def schema_to_json(schema: Schema) -> dict:
@@ -91,20 +89,15 @@ class PublicationSnapshot:
     before the first group seals — the empty release answers every COUNT
     with 0.  ``audit`` is the release's
     :class:`~repro.obs.audit.PrivacyAudit`, measured once when the
-    snapshot was built.  ``estimator`` is whatever object answers
-    ``estimate_workload`` for this publication: an
-    :class:`~repro.query.estimators.AnatomyEstimator` for single-shard
-    publications, a
-    :class:`~repro.shard.query.ShardedQueryEvaluator` when the
-    publication was created with ``shards > 1``.
+    snapshot was built.  ``estimator`` is the release's
+    :class:`~repro.query.estimators.AnatomyEstimator`.
     """
 
     __slots__ = ("name", "version", "release", "estimator", "audit")
 
     def __init__(self, name: str, version: int,
                  release: AnatomizedTables | None,
-                 estimator: AnatomyEstimator | ShardedQueryEvaluator
-                 | None,
+                 estimator: AnatomyEstimator | None,
                  audit: PrivacyAudit | None = None) -> None:
         self.name = name
         self.version = version
@@ -122,14 +115,9 @@ class Publication:
     """One named, growing, l-diverse publication."""
 
     def __init__(self, name: str, schema: Schema, l: int,
-                 seed: int | None = 0, *, shards: int = 1,
-                 workers: int | None = 1,
+                 seed: int | None = 0, *,
                  retain_microdata: bool = True) -> None:
-        if int(shards) < 1:
-            raise ServiceError(f"shards must be >= 1, got {shards}")
         self.name = str(name)
-        self.shards = int(shards)
-        self.workers = workers
         #: Policy switch for ground-truth access: with
         #: ``retain_microdata=False`` the publication refuses to hand
         #: out the rows behind its releases (the canary monitor then
@@ -183,15 +171,6 @@ class Publication:
         if metrics.enabled():
             metrics.inc("repro_service_ingest_rows_total", len(rows),
                         publication=self.name)
-            metrics.set_gauge("repro_service_publication_version",
-                              result["version"],
-                              publication=self.name)
-            metrics.set_gauge("repro_service_buffered_rows",
-                              result["buffered"],
-                              publication=self.name)
-            metrics.set_gauge("repro_service_published_tuples",
-                              result["published_tuples"],
-                              publication=self.name)
         return result
 
     # ------------------------------------------------------------------ #
@@ -213,38 +192,16 @@ class Publication:
                 if snap.version == version:
                     return snap
                 with span("service.snapshot", publication=self.name,
-                          version=version, shards=self.shards):
+                          version=version):
                     release = self._anatomizer.publish()
-                    estimator, audit = self._build_estimator(release)
+                    estimator = AnatomyEstimator(release)
+                    audit = audit_publication(release,
+                                              self._anatomizer.l)
                 record_publication_audit(self.name, version, audit)
-                previous = self._snapshot.estimator
                 snap = PublicationSnapshot(self.name, version, release,
                                            estimator, audit)
                 self._snapshot = snap
-                if isinstance(previous, ShardedQueryEvaluator):
-                    previous.close()
                 return snap
-
-    def _build_estimator(self, release: AnatomizedTables) -> tuple:
-        """The (estimator, audit) pair for one freshly published
-        release: fan-out evaluator plus shard-aware audit when the
-        publication shards its query path, the classic pair otherwise."""
-        l = self._anatomizer.l
-        if self.shards > 1:
-            estimator = ShardedQueryEvaluator(release, shards=self.shards,
-                                              workers=self.workers)
-            audit = audit_sharded_publication(
-                release, l, estimator.sharded.group_ranges)
-        else:
-            estimator = AnatomyEstimator(release)
-            audit = audit_publication(release, l)
-        return estimator, audit
-
-    def close(self) -> None:
-        """Release pooled resources (the sharded evaluator's workers)."""
-        estimator = self._snapshot.estimator
-        if isinstance(estimator, ShardedQueryEvaluator):
-            estimator.close()
 
     def ground_truth_table(self, at_version: int | None = None):
         """The published microdata behind one release, or ``None``.
@@ -281,8 +238,6 @@ class Publication:
             return {
                 "publication": self.name,
                 "l": anat.l,
-                "shards": self.shards,
-                "workers": self.workers,
                 "retain_microdata": self.retain_microdata,
                 "version": anat.version,
                 "groups": anat.group_count,
@@ -307,11 +262,9 @@ class PublicationRegistry:
         self._publications: dict[str, Publication] = {}
 
     def create(self, name: str, schema: Schema, l: int,
-               seed: int | None = 0, *, shards: int = 1,
-               workers: int | None = 1,
+               seed: int | None = 0, *,
                retain_microdata: bool = True) -> Publication:
         publication = Publication(name, schema, l, seed=seed,
-                                  shards=shards, workers=workers,
                                   retain_microdata=retain_microdata)
         with self._lock:
             if name in self._publications:
@@ -334,7 +287,6 @@ class PublicationRegistry:
             publication = self._publications.pop(name, None)
         if publication is None:
             raise ServiceError(f"unknown publication {name!r}")
-        publication.close()
 
     def names(self) -> list[str]:
         with self._lock:

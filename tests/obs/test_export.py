@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.dataset.schema import Attribute, Schema
 from repro.exceptions import ReproError
 from repro.obs import tracing
 from repro.obs.export import TelemetryExporter, read_telemetry
@@ -180,52 +179,3 @@ class TestBackgroundLifecycle:
         assert exporter._thread is first
         exporter.close()
 
-
-class TestCrossProcessSplicing:
-    def test_worker_process_spans_export_exactly_once_under_load(
-            self, tmp_path, tracer):
-        """The shard fan-out splices worker-process timings into the
-        main-process tracer (ingest_external); with the exporter
-        draining concurrently, every spliced shard span must land in
-        the telemetry stream exactly once, parented to its fan-out
-        span."""
-        from repro.core.anatomize import anatomize
-        from repro.dataset.table import Table
-        from repro.query.workload import make_workload
-        from repro.shard.query import ShardedQueryEvaluator
-
-        schema = Schema([Attribute("A", range(30))],
-                        Attribute("S", range(10)))
-        rows = [(i * 7 % 30, i % 10) for i in range(300)]
-        release = anatomize(Table.from_rows(schema, rows), l=2)
-        workload = make_workload(schema, 1, 0.2, 8, seed=1)
-        shards, rounds = 3, 6
-        path = str(tmp_path / "telemetry.jsonl")
-        exporter = TelemetryExporter(path, tracer=tracer,
-                                     interval_s=0.005)
-        evaluator = ShardedQueryEvaluator(release, shards=shards,
-                                          workers=2)
-        try:
-            with exporter:
-                for _ in range(rounds):
-                    evaluator.estimate_workload(workload)
-        finally:
-            evaluator.close()
-        records = read_telemetry(path)
-        shard_spans = [r["span"] for r in records
-                       if r["kind"] == "span"
-                       and r["span"]["name"] == "shard.query.shard"]
-        fanouts = {r["span"]["span_id"]: r["span"] for r in records
-                   if r["kind"] == "span"
-                   and r["span"]["name"] == "shard.query.fanout"}
-        assert len(fanouts) == rounds
-        assert len(shard_spans) == rounds * shards
-        span_ids = [s["span_id"] for s in shard_spans]
-        assert len(set(span_ids)) == len(span_ids)  # exactly once
-        for span in shard_spans:
-            parent = fanouts[span["parent_id"]]
-            assert span["trace_id"] == parent["trace_id"]
-            assert span["attributes"]["shard"] in range(shards)
-        # close() ran the final flush: nothing is left behind to be
-        # exported twice by a later pipeline.
-        assert tracer.drain() == []

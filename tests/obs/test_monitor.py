@@ -89,24 +89,6 @@ class TestGroundTruthPath:
         assert report.evaluated == offline.evaluated
         assert report.skipped == offline.skipped_zero_actual
 
-    def test_sharded_publication_measures_identically(self, registry,
-                                                      schema):
-        """shards>1 routes estimates through the fan-out evaluator,
-        which is bit-identical to the unsharded exact path — so the
-        canary error must match the offline single-shard number."""
-        sharded = seeded_publication(registry, schema, name="sharded",
-                                     shards=3, workers=1)
-        plain = seeded_publication(registry, schema, name="plain")
-        monitor = CanaryMonitor(registry,
-                                config=CanaryConfig(count=32))
-        try:
-            report_sharded = monitor.run_once(sharded)
-            report_plain = monitor.run_once(plain)
-            assert report_sharded.relative_error == \
-                report_plain.relative_error
-        finally:
-            sharded.close()
-
     def test_nothing_published_yields_none(self, registry, schema):
         publication = registry.create("empty", schema, l=3)
         monitor = CanaryMonitor(registry)

@@ -117,14 +117,6 @@ class TestSpans:
         assert counter is not None and counter.value() == 2.0
         assert tracer.dropped == 2
 
-    def test_ingest_external_overflow_also_counts_drops(self):
-        tracer = Tracer(max_spans=1)
-        tracer.ingest_external("one", 0.1)
-        tracer.ingest_external("two", 0.1)
-        assert tracer.dropped == 1
-        assert [s["name"] for s in tracer.finished()] == ["two"]
-
-
 class TestDrain:
     def test_drain_takes_everything_exactly_once(self, tracer):
         for name in ("a", "b"):

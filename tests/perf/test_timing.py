@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.incremental import IncrementalAnatomizer
 from repro.dataset.schema import Attribute, Schema
+from repro.obs import tracing
 from repro.perf import PerfRecorder, active_recorder, set_recorder, span
 
 
@@ -15,6 +16,14 @@ def recorder():
     previous = set_recorder(recorder)
     yield recorder
     set_recorder(previous)
+
+
+@pytest.fixture()
+def tracer():
+    tracer = tracing.Tracer()
+    previous = tracing.set_tracer(tracer)
+    yield tracer
+    tracing.set_tracer(previous)
 
 
 class TestPerfRecorder:
@@ -32,6 +41,21 @@ class TestPerfRecorder:
         recorder.write(str(path))
         assert path.exists()
 
+    def test_many_spans_under_one_name_fold_into_one_aggregate(self):
+        recorder = PerfRecorder()
+        for i in range(10_000):
+            recorder.record("service.query.batch", 0.001 * (i % 7),
+                            queries=i)
+        assert list(recorder.totals()) == ["service.query.batch"]
+        stats = recorder.totals()["service.query.batch"]
+        assert stats["count"] == 10_000
+        assert stats["min_s"] == 0.0
+        assert stats["max_s"] == pytest.approx(0.006)
+        assert stats["mean_s"] == pytest.approx(stats["total_s"] / 10_000)
+        assert set(recorder.summary()) == {"schema_version", "metadata",
+                                           "spans"}
+        assert len(recorder._aggregates) == 1
+
     def test_span_noop_without_recorder(self):
         assert active_recorder() is None
         with span("anything"):  # must not raise, must not record
@@ -39,20 +63,18 @@ class TestPerfRecorder:
 
 
 class TestIncrementalSpans:
-    def test_ingest_and_seal_paths_are_instrumented(self, recorder):
+    def test_ingest_and_seal_paths_are_instrumented(self, recorder,
+                                                    tracer):
         schema = Schema([Attribute("A", range(50))],
                         Attribute("S", range(20)))
         inc = IncrementalAnatomizer(schema, l=3)
-        inc.insert_codes([(i, i % 20) for i in range(30)])
+        sealed = inc.insert_codes([(i, i % 20) for i in range(30)])
+        assert sealed == inc.group_count > 0
         totals = recorder.totals()
         assert totals["incremental.ingest"]["count"] == 1
         assert totals["incremental.seal"]["count"] == 1
-        ingest_entry = [e for e in recorder.entries
-                        if e["name"] == "incremental.ingest"][0]
-        assert ingest_entry["info"]["rows"] == 30
-        seal_entry = [e for e in recorder.entries
-                      if e["name"] == "incremental.seal"][0]
-        assert seal_entry["info"]["sealed"] == inc.group_count > 0
+        ingest_span, = tracer.find("incremental.ingest")
+        assert ingest_span["attributes"]["rows"] == 30
 
     def test_no_seal_span_when_nothing_seals(self, recorder):
         schema = Schema([Attribute("A", range(50))],

@@ -15,7 +15,15 @@ from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
 from repro.exceptions import QueryError
 from repro.generalization.mondrian import mondrian
-from repro.query.batch import CHUNK_QUERIES, WorkloadEncoding
+from repro.obs import metrics
+from repro.obs.metrics import MetricsRegistry
+from repro.query.batch import (
+    CHUNK_QUERIES,
+    WorkloadEncoding,
+    anatomy_index_for,
+    clear_index_cache,
+    index_cache_stats,
+)
 from repro.query.estimators import (
     AnatomyEstimator,
     ExactEvaluator,
@@ -49,6 +57,11 @@ def evaluators(table):
         "anatomy": AnatomyEstimator(anatomize(table, l=3, seed=0)),
         "generalization": GeneralizationEstimator(mondrian(table, l=3)),
     }
+
+
+@pytest.fixture(scope="module")
+def release(table):
+    return anatomize(table, l=3, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +219,24 @@ class TestEvaluateWorkloadBatch:
                                    evaluators["anatomy"])
         assert result.evaluated == 0
         assert result.skipped_zero_actual == 0
+
+
+class TestIndexCache:
+    def test_cache_hits_and_misses_are_counted(self, release):
+        registry = MetricsRegistry()
+        previous = metrics.set_registry(registry)
+        try:
+            clear_index_cache()
+            first = anatomy_index_for(release)
+            second = anatomy_index_for(release)
+        finally:
+            metrics.set_registry(previous)
+        assert first is second
+        stats = index_cache_stats()
+        assert stats["misses"] >= 1
+        assert stats["hits"] >= 1
+        assert stats["entries"] >= 1
+        assert registry.counter(
+            "repro_index_cache_misses_total").value() == 1
+        assert registry.counter(
+            "repro_index_cache_hits_total").value() == 1

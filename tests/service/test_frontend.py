@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import QueryError, ServiceError
+from repro.obs import tracing
 from repro.perf import PerfRecorder, set_recorder
 from repro.query.predicates import CountQuery
 from repro.service.frontend import QueryFrontend
@@ -28,6 +29,14 @@ def recorder():
     previous = set_recorder(recorder)
     yield recorder
     set_recorder(previous)
+
+
+@pytest.fixture()
+def tracer():
+    tracer = tracing.Tracer()
+    previous = tracing.set_tracer(tracer)
+    yield tracer
+    tracing.set_tracer(previous)
 
 
 def query_pool(schema, count):
@@ -108,7 +117,7 @@ class TestBatchPath:
             assert not answer.cached
 
     def test_large_batch_goes_through_batch_engine(self, served, schema,
-                                                   recorder):
+                                                   recorder, tracer):
         _, _, frontend = served
         queries = query_pool(schema, 128)
         frontend.query_batch("p", queries)
@@ -117,12 +126,11 @@ class TestBatchPath:
         # per-query loop
         assert totals["service.query.batch"]["count"] == 1
         assert totals["query.batch.evaluate"]["count"] == 1
-        entry = [e for e in recorder.entries
-                 if e["name"] == "service.query.batch"][0]
-        assert entry["info"]["queries"] == 128
+        batch, = tracer.find("service.query.batch")
+        assert batch["attributes"]["queries"] == 128
 
     def test_batch_serves_cached_entries_without_reevaluating(
-            self, served, schema, recorder):
+            self, served, schema, tracer):
         _, _, frontend = served
         queries = query_pool(schema, 20)
         frontend.query_batch("p", queries)
@@ -130,10 +138,9 @@ class TestBatchPath:
             schema, 40)[20:])
         assert all(a.cached for a in again[:20])
         assert not any(a.cached for a in again[20:])
-        entries = [e for e in recorder.entries
-                   if e["name"] == "service.query.batch"]
+        batches = tracer.find("service.query.batch")
         # second call evaluated only the 20 misses
-        assert entries[-1]["info"]["queries"] == 20
+        assert batches[-1]["attributes"]["queries"] == 20
 
     def test_fast_mode_close_to_exact(self, served, schema):
         registry, publication, _ = served
@@ -156,19 +163,18 @@ class TestBatchPath:
 
 class TestCoalescing:
     def test_submits_within_window_coalesce(self, served, schema,
-                                            recorder):
+                                            tracer):
         _, _, frontend = served
         frontend.batch_window_s = 0.05  # widen to make the test robust
         queries = query_pool(schema, 40)
         futures = [frontend.submit("p", q) for q in queries]
         answers = [f.result(timeout=10) for f in futures]
         assert all(not a.cached for a in answers)
-        entries = [e for e in recorder.entries
-                   if e["name"] == "service.query.batch"]
+        batches = tracer.find("service.query.batch")
         # far fewer engine passes than queries, and at least one real
         # micro-batch
-        assert len(entries) < len(queries)
-        assert max(e["info"]["queries"] for e in entries) > 1
+        assert len(batches) < len(queries)
+        assert max(b["attributes"]["queries"] for b in batches) > 1
 
 
 class TestObservability:

@@ -10,6 +10,7 @@ served micro-batch of >= 100 queries goes through the batch engine
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -19,7 +20,7 @@ import pytest
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.monitor import GAUGE_RELATIVE_ERROR, CanaryConfig
 from repro.obs.slo import SLOConfig
-from repro.service.http import ReproService, make_server
+from repro.service.http import MAX_BODY_BYTES, ReproService, make_server
 
 from tests.service.conftest import make_rows
 
@@ -102,6 +103,39 @@ class TestLifecycle:
         # out-of-domain code surfaces as a 400, not a 500
         assert api("POST", "/publications/p/ingest",
                    {"rows": [[999, 0]]})[0] == 400
+
+
+def raw_exchange(server, request: bytes) -> tuple[bytes, dict]:
+    """Send raw request bytes and read until the server hangs up;
+    returns (status line + headers, decoded JSON body)."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, json.loads(body)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_answered_with_400_and_closed(self, server,
+                                                    length):
+        head, body = raw_exchange(server, (
+            f"POST /publications HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode())
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert body == {"error": "malformed Content-Length header"}
+
+    def test_oversized_answered_with_413_and_closed(self, server):
+        head, body = raw_exchange(server, (
+            f"POST /publications HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n").encode())
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close" in head
+        assert "exceeds" in body["error"]
 
 
 class TestEndToEnd:
@@ -253,6 +287,22 @@ class TestObservability:
                    bounds.values())
         assert "repro_privacy_eligibility_margin" in parsed
         assert "repro_privacy_max_group_frequency" in parsed
+
+    def test_publication_gauges_match_stats_after_ingest(self, api,
+                                                         raw):
+        create_publication(api)
+        api("POST", "/publications/p/ingest", {"rows": make_rows(61)})
+        _, stats = api("GET", "/stats")
+        (pub,) = stats["publications"]
+        assert pub["version"] > 0 and pub["buffered"] > 0
+        parsed = parse_prometheus_text(raw("/metrics")[2])
+        for name, key in (
+                ("repro_service_publication_version", "version"),
+                ("repro_service_buffered_rows", "buffered"),
+                ("repro_service_published_tuples", "published_tuples")):
+            assert parsed[name]["type"] == "gauge"
+            assert parsed[name]["samples"] == {
+                name + '{publication="p"}': pub[key]}
 
     def test_metrics_json_format(self, api, raw):
         self._exercise(api)
