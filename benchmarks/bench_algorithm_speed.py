@@ -15,7 +15,7 @@ from repro.core.anatomize import anatomize_partition
 from repro.core.rce import anatomy_rce
 from repro.generalization.mondrian import mondrian_partition
 from repro.generalization.recoding import census_recoder
-from repro.perf import record
+from repro.obs.tracing import record
 
 
 def test_speed_anatomize(benchmark, bench_config, dataset):
@@ -66,8 +66,8 @@ def test_speed_anatomize_fast_vs_heap(benchmark, bench_config, dataset):
     assert (sorted(g.size for g in fast_partition)
             == sorted(g.size for g in heap_partition))
     speedup = heap_seconds / fast_seconds
-    record("bench.anatomize_fast", fast_seconds, n=n, l=l)
-    record("bench.anatomize_heap", heap_seconds, n=n, l=l)
+    record("bench.anatomize_fast", fast_seconds)
+    record("bench.anatomize_heap", heap_seconds)
     benchmark.extra_info["heap_ms"] = round(heap_seconds * 1e3, 2)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     # The 3x bar is defined at the default grid's largest cardinality

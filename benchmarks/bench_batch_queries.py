@@ -16,7 +16,7 @@ import pytest
 from repro.core.anatomize import anatomize
 from repro.generalization.mondrian import mondrian
 from repro.generalization.recoding import census_recoder
-from repro.perf import record
+from repro.obs.tracing import record
 from repro.query.estimators import (
     AnatomyEstimator,
     ExactEvaluator,
@@ -54,9 +54,8 @@ def _run(benchmark, name, estimator, workload, min_speedup=None):
     fast_results = estimator.estimate_workload(workload, mode="fast")
     np.testing.assert_allclose(fast_results, reference, rtol=1e-9)
     speedup = per_query_seconds / batch_seconds
-    record(f"bench.batch_{name}", batch_seconds, queries=len(workload))
-    record(f"bench.per_query_{name}", per_query_seconds,
-           queries=len(workload))
+    record(f"bench.batch_{name}", batch_seconds)
+    record(f"bench.per_query_{name}", per_query_seconds)
     benchmark.extra_info["per_query_ms"] = round(per_query_seconds * 1e3,
                                                  1)
     benchmark.extra_info["speedup"] = round(speedup, 1)

@@ -19,7 +19,7 @@ from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import CanaryConfig, CanaryMonitor
 from repro.obs.slo import HealthEngine, SLOConfig
-from repro.perf import record
+from repro.obs.tracing import record
 from repro.query.workload import make_workload
 from repro.service.frontend import QueryFrontend
 from repro.service.registry import PublicationRegistry
@@ -67,8 +67,7 @@ def test_monitor_canary_run_once(benchmark, served):
     monitor = CanaryMonitor(registry, metrics=MetricsRegistry(),
                             config=CanaryConfig(count=32, seed=11))
     report = benchmark(monitor.run_once, publication, force=True)
-    record("bench.canary_run_once", benchmark.stats.stats.mean,
-           queries=32)
+    record("bench.canary_run_once", benchmark.stats.stats.mean)
     assert report is not None and report.method == "ground-truth"
 
 
@@ -100,11 +99,9 @@ def test_monitor_query_batch_overhead(benchmark, served, workload):
             answers = benchmark(monitored)
     finally:
         metrics.set_registry(previous)
-    record("bench.service_query_monitored",
-           benchmark.stats.stats.mean, queries=len(workload))
+    record("bench.service_query_monitored", benchmark.stats.stats.mean)
     record("bench.service_query_monitor_overhead",
-           benchmark.stats.stats.mean - plain_mean,
-           queries=len(workload))
+           benchmark.stats.stats.mean - plain_mean)
 
     expected = publication.snapshot().estimator.estimate_workload(
         workload)

@@ -11,7 +11,7 @@ records, and are gated against ``BENCH_baseline.json`` by
 import numpy as np
 import pytest
 
-from repro.perf import record
+from repro.obs.tracing import record
 from repro.query.workload import make_workload
 from repro.service.frontend import QueryFrontend
 from repro.service.registry import PublicationRegistry
@@ -61,8 +61,7 @@ def test_service_ingest(benchmark, table, bench_config):
         return publication
 
     publication = benchmark.pedantic(ingest, setup=setup, rounds=3)
-    record("bench.service_ingest", benchmark.stats.stats.mean,
-           rows=len(rows))
+    record("bench.service_ingest", benchmark.stats.stats.mean)
     benchmark.extra_info["groups"] = publication.version
     assert publication.version > 0
 
@@ -72,8 +71,7 @@ def test_service_query_batch(benchmark, served, workload):
     answers must match the estimator bit for bit (exact mode)."""
     _, publication, frontend = served
     answers = benchmark(frontend.query_batch, "bench", workload)
-    record("bench.service_query_batch", benchmark.stats.stats.mean,
-           queries=len(workload))
+    record("bench.service_query_batch", benchmark.stats.stats.mean)
     expected = publication.snapshot().estimator.estimate_workload(
         workload)
     assert np.array_equal(np.array([a.answer for a in answers]),
@@ -97,7 +95,7 @@ def test_service_query_instrumented(benchmark, served, workload):
     finally:
         metrics.set_registry(previous)
     record("bench.service_query_instrumented",
-           benchmark.stats.stats.mean, queries=len(workload))
+           benchmark.stats.stats.mean)
     expected = publication.snapshot().estimator.estimate_workload(
         workload)
     assert np.array_equal(np.array([a.answer for a in answers]),
@@ -119,7 +117,7 @@ def test_service_query_cached(benchmark, served, workload, table,
         answers = benchmark(cached_frontend.query_batch, "bench",
                             workload)
         record("bench.service_query_cached",
-               benchmark.stats.stats.mean, queries=len(workload))
+               benchmark.stats.stats.mean)
         assert all(a.cached for a in answers)
     finally:
         cached_frontend.close()

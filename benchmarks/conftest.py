@@ -19,7 +19,8 @@ from repro.experiments.config import (
     PAPER_CONFIG,
     SMOKE_CONFIG,
 )
-from repro.perf import PerfRecorder, set_recorder
+from repro.obs import tracing
+from repro.perf.check import write_summary
 
 #: The grid every bench runs.  Select with REPRO_BENCH_SCALE =
 #: smoke | default | paper (default: default).  "paper" is the faithful
@@ -30,22 +31,23 @@ BENCH_CONFIG = _SCALES[os.environ.get("REPRO_BENCH_SCALE", "default")]
 
 
 @pytest.fixture(scope="session", autouse=True)
-def perf_recorder():
-    """Installs a session-wide PerfRecorder so every instrumented span
-    (experiment runners, batch engine, the benches' own records) lands in
-    ``benchmarks/BENCH_summary.json`` — the machine-readable input of
-    ``python -m repro.perf.check``."""
-    recorder = PerfRecorder(
+def bench_tracer():
+    """Installs a session-wide aggregating Tracer so every instrumented
+    span (experiment runners, batch engine, the benches' own records)
+    lands in ``benchmarks/BENCH_summary.json`` — the machine-readable
+    input of ``python -m repro.perf.check``."""
+    tracer = tracing.Tracer(max_spans=0)
+    previous = tracing.set_tracer(tracer)
+    yield tracer
+    tracing.set_tracer(previous)
+    write_summary(
+        os.path.join(os.path.dirname(__file__), "BENCH_summary.json"),
+        tracer.totals(),
         scale=os.environ.get("REPRO_BENCH_SCALE", "default"),
         l=BENCH_CONFIG.l,
         default_n=BENCH_CONFIG.default_n,
         cpu_count=os.cpu_count(),
     )
-    previous = set_recorder(recorder)
-    yield recorder
-    set_recorder(previous)
-    recorder.write(os.path.join(os.path.dirname(__file__),
-                                "BENCH_summary.json"))
 
 
 @pytest.fixture(scope="session")

@@ -66,7 +66,7 @@ from repro.core.partition import Partition
 from repro.dataset.table import Table
 from repro.exceptions import PartitionError
 from repro.obs import metrics
-from repro.perf import span
+from repro.obs.tracing import span
 
 
 class _BucketHeap:

@@ -26,7 +26,6 @@ line of follow-up work and is out of scope for this reproduction.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.exceptions import ReproError, SchemaError
 from repro.obs import metrics
-from repro.perf import record, span
+from repro.obs.tracing import span
 
 
 class IncrementalAnatomizer:
@@ -138,27 +137,26 @@ class IncrementalAnatomizer:
     def _drain_buffer(self) -> int:
         """Seal as many all-distinct groups of l tuples as the buffer
         allows (the group-creation step restricted to the buffer)."""
-        start = time.perf_counter()
+        nonempty = [c for c, rows in self._buffer.items() if rows]
+        if len(nonempty) < self.l:
+            return 0
         sealed = 0
-        while True:
-            nonempty = [c for c, rows in self._buffer.items() if rows]
-            if len(nonempty) < self.l:
-                break
-            nonempty.sort(key=lambda c: len(self._buffer[c]),
-                          reverse=True)
-            chosen = nonempty[:self.l]
-            group = []
-            for code in chosen:
-                rows = self._buffer[code]
-                pick = int(self._rng.integers(len(rows)))
-                rows[pick], rows[-1] = rows[-1], rows[pick]
-                group.append(rows.pop())
-            self._groups.append(group)
-            self._buffered -= self.l
-            sealed += 1
-        if sealed:
-            record("incremental.seal", time.perf_counter() - start,
-                   sealed=sealed)
+        with span("incremental.seal") as seal:
+            while len(nonempty) >= self.l:
+                nonempty.sort(key=lambda c: len(self._buffer[c]),
+                              reverse=True)
+                chosen = nonempty[:self.l]
+                group = []
+                for code in chosen:
+                    rows = self._buffer[code]
+                    pick = int(self._rng.integers(len(rows)))
+                    rows[pick], rows[-1] = rows[-1], rows[pick]
+                    group.append(rows.pop())
+                self._groups.append(group)
+                self._buffered -= self.l
+                sealed += 1
+                nonempty = [c for c, rows in self._buffer.items() if rows]
+            seal.set_attribute("sealed", sealed)
         return sealed
 
     # ------------------------------------------------------------------ #

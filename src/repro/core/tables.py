@@ -256,13 +256,13 @@ class AnatomizedTables:
         (Corollary 1): ``max_j c_j(v_max) / |QI_j|``.
 
         For tables produced from an l-diverse partition this is at most
-        ``1/l``.
+        ``1/l``; 0.0 for an empty ST.
         """
-        worst = 0.0
-        for gid in self.st._group_slices:
-            dist = self.st.group_distribution(gid)
-            worst = max(worst, max(dist.values()))
-        return worst
+        st = self.st
+        if not len(st):
+            return 0.0
+        sizes = np.bincount(st.group_ids, weights=st.counts)
+        return float((st.counts / sizes[st.group_ids]).max())
 
     def natural_join(self) -> list[tuple[int, ...]]:
         """The natural join QIT ⋈ ST on Group-ID (Lemma 1).

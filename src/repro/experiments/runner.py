@@ -23,7 +23,7 @@ from repro.dataset.table import Table
 from repro.experiments.config import ExperimentConfig
 from repro.generalization.mondrian import mondrian
 from repro.generalization.recoding import census_recoder
-from repro.perf import span
+from repro.obs.tracing import span
 from repro.query.estimators import (
     AnatomyEstimator,
     ExactEvaluator,

@@ -4,9 +4,10 @@ Four cooperating pieces, all stdlib-or-numpy only:
 
 * :mod:`repro.obs.tracing` — hierarchical spans with trace/span IDs and
   parent links, context-propagated with :mod:`contextvars` (including
-  across the query frontend's micro-batch worker threads).
-  ``repro.perf.span`` is a shim over this module: one instrumented
-  region feeds both the perf-gate aggregates and, when enabled, a trace.
+  across the query frontend's micro-batch worker threads).  The
+  :class:`~repro.obs.tracing.Tracer` is the one span sink: it folds
+  every span into the per-name aggregates the perf gate and
+  ``/metrics`` read, and optionally keeps the span records.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms in a :class:`~repro.obs.metrics.MetricsRegistry`, rendered
   as JSON or Prometheus text exposition (``GET /metrics``).

@@ -107,10 +107,7 @@ def audit_publication(release: AnatomizedTables, l: int, *,
     'adversary-exact'
     """
     st = release.st
-    # Vectorized Corollary 1 bound: counts / group sizes, max over ST.
-    sizes = np.bincount(st.group_ids, weights=st.counts)
-    max_group_frequency = float(
-        (st.counts / sizes[st.group_ids]).max()) if len(st) else 0.0
+    max_group_frequency = release.breach_probability_bound()
 
     # Published-release eligibility margin from the global ST histogram.
     n = release.n

@@ -13,7 +13,7 @@ series).  The registry renders two ways:
 Library hot paths use the module-level hooks (:func:`inc`,
 :func:`set_gauge`, :func:`observe`), which are no-ops until a registry
 is installed with :func:`set_registry` — mirroring
-:mod:`repro.perf.timing`.  Call sites that would allocate label dicts
+:mod:`repro.obs.tracing`.  Call sites that would allocate label dicts
 should guard with :func:`enabled` so a disabled process pays only a
 global load and a branch::
 

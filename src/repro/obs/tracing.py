@@ -1,29 +1,31 @@
 """Hierarchical tracing: spans with trace/span IDs and parent links.
 
-A :class:`Tracer` collects finished :class:`Span` records; the *current*
-span is tracked in a :mod:`contextvars` context variable, so nesting is
-automatic within a thread (or task) and explicit across threads via
-:func:`capture_context` / :func:`attach_context` — the query frontend
-uses that pair to parent the batch-engine span executed on its worker
-thread to the submitting request's trace.
+A :class:`Tracer` is the repository's one span sink.  Every finished
+:class:`Span` is folded into per-name count/total/min/max aggregates
+(:meth:`Tracer.totals` — what ``BENCH_summary.json`` and the JSON
+``/metrics`` document carry) and, unless the tracer was built with
+``max_spans=0``, kept as a record in a bounded ring buffer.  The
+*current* span is tracked in a :mod:`contextvars` context variable, so
+nesting is automatic within a thread (or task) and explicit across
+threads via :func:`capture_context` / :func:`attach_context` — the
+query frontend uses that pair to parent the batch-engine span executed
+on its worker thread to the submitting request's trace.
 
-Like :mod:`repro.perf.timing`, the module-level hooks are no-ops until a
-tracer is installed::
+The module-level hooks are no-ops until a tracer is installed::
 
     tracer = Tracer()
     previous = set_tracer(tracer)
     with span("http.request", method="GET") as s:
         with span("query.batch.evaluate", queries=100):
             ...
+    record("bench.batch_anatomy", 0.012)   # a pre-measured duration
     set_tracer(previous)
     tracer.finished()   # -> list of span dicts, child linked to parent
+    tracer.totals()     # -> {name: {count, total_s, min_s, max_s, mean_s}}
 
 When no tracer is installed, :func:`span` returns a single shared no-op
 context manager (:data:`NOOP_SPAN`) — no allocation, no contextvar
-traffic — so the hooks are safe on hot paths.  ``repro.perf.span`` is a
-shim over this module: one ``perf.span(...)`` region feeds both the
-:class:`~repro.perf.timing.PerfRecorder` aggregates (bit-identical to
-the pre-tracing format) and, when tracing is enabled, a real span.
+traffic — so the hooks are safe on hot paths.
 """
 
 from __future__ import annotations
@@ -157,19 +159,29 @@ _current: contextvars.ContextVar[Span | ContextSnapshot | None] = \
 
 
 class Tracer:
-    """Collects finished spans in a bounded ring buffer (thread-safe).
+    """Folds finished spans into per-name aggregates and keeps their
+    records in a bounded ring buffer (thread-safe).
 
-    All buffer state — the deque *and* the drop tally — is guarded by
-    one lock, so concurrent finishers, :meth:`drain` (the telemetry
+    The aggregates are bounded by the number of distinct span names and
+    count every span, including those the ring buffer drops, so one
+    tracer can live as long as a server.  ``Tracer(max_spans=0)`` keeps
+    aggregates only: no records, no drops, and no trace context for log
+    correlation or cross-thread links.
+
+    All state — aggregates, the deque *and* the drop tally — is guarded
+    by one lock, so concurrent finishers, :meth:`drain` (the telemetry
     exporter's background thread), and renders never interleave
-    half-updates.  Ring-buffer overflow is no longer silent: each
-    dropped span bumps the ``repro_trace_spans_dropped_total`` counter
-    on the active metrics registry (when one is installed) in addition
-    to the local :attr:`dropped` tally.
+    half-updates.  Ring-buffer overflow is not silent: each dropped
+    span bumps the ``repro_trace_spans_dropped_total`` counter on the
+    active metrics registry (when one is installed) in addition to the
+    local :attr:`dropped` tally.
     """
 
     def __init__(self, max_spans: int = 10_000) -> None:
+        self.max_spans = max_spans
         self._spans: deque[dict] = deque(maxlen=max_spans)
+        # name -> [count, total, min, max]
+        self._aggregates: dict[str, list] = {}
         self._lock = threading.Lock()
         self._dropped = 0
 
@@ -197,14 +209,44 @@ class Tracer:
             trace_id, parent_id = parent.trace_id, parent.span_id
         return Span(self, name, trace_id, parent_id, attributes)
 
+    def _fold(self, name: str, seconds: float) -> None:
+        """Add one duration to its name's aggregate (lock held)."""
+        stats = self._aggregates.get(name)
+        if stats is None:
+            self._aggregates[name] = [1, seconds, seconds, seconds]
+        else:
+            stats[0] += 1
+            stats[1] += seconds
+            stats[2] = min(stats[2], seconds)
+            stats[3] = max(stats[3], seconds)
+
+    def record(self, name: str, seconds: float) -> None:
+        """Fold a pre-measured duration into ``name``'s aggregate (no
+        record is kept)."""
+        with self._lock:
+            self._fold(name, float(seconds))
+
     def _finish(self, span: Span) -> None:
         with self._lock:
-            dropping = len(self._spans) == self._spans.maxlen
+            self._fold(span.name, span.duration_s)
+            if not self.max_spans:
+                return
+            dropping = len(self._spans) == self.max_spans
             if dropping:
                 self._dropped += 1
             self._spans.append(span.to_json())
         if dropping:
             self._record_drop_metric()
+
+    def totals(self) -> dict[str, dict]:
+        """Per span name: ``count``, ``total_s``, ``min_s``, ``max_s``
+        and ``mean_s`` over every finished span and recorded duration."""
+        with self._lock:
+            aggregates = [(name, list(stats))
+                          for name, stats in self._aggregates.items()]
+        return {name: {"count": count, "total_s": total, "min_s": low,
+                       "max_s": high, "mean_s": total / count}
+                for name, (count, total, low, high) in aggregates}
 
     def finished(self) -> list[dict]:
         """Finished span records, oldest first."""
@@ -217,8 +259,8 @@ class Tracer:
         This is the exporter's primitive: each finished span is handed
         out exactly once, even with concurrent finishers — a span is
         either still in the buffer for the next drain or in exactly one
-        drained batch, never both.  The drop tally is left untouched
-        (it is cumulative, like a counter).
+        drained batch, never both.  The drop tally and the aggregates
+        are left untouched (they are cumulative, like counters).
         """
         with self._lock:
             batch = list(self._spans)
@@ -230,8 +272,10 @@ class Tracer:
         return [s for s in self.finished() if s["name"] == name]
 
     def clear(self) -> None:
+        """Forget every record, aggregate and drop."""
         with self._lock:
             self._spans.clear()
+            self._aggregates.clear()
             self._dropped = 0
 
     def __len__(self) -> int:
@@ -268,10 +312,20 @@ def span(name: str, **attributes):
     return tracer.span(name, **attributes)
 
 
+def record(name: str, seconds: float) -> None:
+    """Fold a pre-measured duration into the active tracer's
+    aggregates, if a tracer is installed."""
+    tracer = _active
+    if tracer is not None:
+        tracer.record(name, seconds)
+
+
 def current_context() -> ContextSnapshot | None:
     """The (trace_id, span_id) of the context's current span, for log
-    correlation; ``None`` outside any span or when tracing is off."""
-    if _active is None:
+    correlation; ``None`` outside any span, when tracing is off, or
+    when the tracer keeps no records."""
+    tracer = _active
+    if tracer is None or not tracer.max_spans:
         return None
     current = _current.get()
     if current is None:

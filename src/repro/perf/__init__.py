@@ -1,27 +1,9 @@
-"""Performance instrumentation: timing hooks and benchmark summaries.
+"""The benchmark regression gate.
 
-:mod:`repro.perf.timing` provides :class:`PerfRecorder` plus module-level
-``span``/``record`` hooks that are no-ops until a recorder is installed
-with ``set_recorder`` — cheap enough to live permanently in library code
-(the experiment runners and the batch query engine are instrumented).
-The benchmark suite installs a recorder for the whole session and writes
-``benchmarks/BENCH_summary.json``; ``python -m repro.perf.check``
+Spans are timed by :mod:`repro.obs.tracing`: the benchmark suite
+installs one session-wide :class:`~repro.obs.tracing.Tracer` and writes
+its per-name aggregates to ``benchmarks/BENCH_summary.json`` with
+:func:`repro.perf.check.write_summary`; ``python -m repro.perf.check``
 compares that summary against a recorded baseline and fails on
 regressions.
 """
-
-from repro.perf.timing import (
-    PerfRecorder,
-    active_recorder,
-    record,
-    set_recorder,
-    span,
-)
-
-__all__ = [
-    "PerfRecorder",
-    "active_recorder",
-    "record",
-    "set_recorder",
-    "span",
-]

@@ -13,6 +13,10 @@ Record (or refresh) the baseline from the current summary with
 ``python -m repro.perf.check --update-baseline``.  Span names present in
 only one of the two files are reported but never fail the gate, so new
 benchmarks can land before the baseline is refreshed.
+
+A summary is ``{"schema_version", "metadata", "spans"}`` with ``spans``
+the per-name aggregates of :meth:`repro.obs.tracing.Tracer.totals`;
+:func:`write_summary` is its one writer.
 """
 
 from __future__ import annotations
@@ -28,6 +32,21 @@ _BENCH_DIR = os.path.join(
         os.path.dirname(os.path.abspath(__file__))))), "benchmarks")
 DEFAULT_CURRENT = os.path.join(_BENCH_DIR, "BENCH_summary.json")
 DEFAULT_BASELINE = os.path.join(_BENCH_DIR, "BENCH_baseline.json")
+
+#: Format version of the summary document.
+SCHEMA_VERSION = 1
+
+
+def write_summary(path: str, spans: dict[str, dict], **metadata) -> str:
+    """Write a benchmark summary as JSON, creating the parent directory
+    if missing; returns ``path``."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    document = {"schema_version": SCHEMA_VERSION, "metadata": metadata,
+                "spans": spans}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def load_summary(path: str) -> dict:

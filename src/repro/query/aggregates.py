@@ -78,15 +78,8 @@ class ExactAggregator:
         self.measure = measure
         self._count = ExactEvaluator(table)
 
-    def _mask(self, query: CountQuery) -> np.ndarray:
-        mask = query.lookup_table(
-            self.table.schema.sensitive.name)[self.table.sensitive_column]
-        for name in query.qi_predicates:
-            mask &= query.lookup_table(name)[self.table.column(name)]
-        return mask
-
     def sum(self, query: CountQuery) -> float:
-        mask = self._mask(query)
+        mask = self._count.qualifying(query)
         return float(
             self.measure.vector[self.table.sensitive_column[mask]].sum())
 
@@ -109,21 +102,11 @@ class AnatomyAggregator:
         self.measure = measure
         self._count = AnatomyEstimator(published)
         # (m, |As|) count matrix weighted by the measure.
-        self._weighted = (self._count._st_matrix
+        self._weighted = (self._count.index.st_matrix
                           * measure.vector[np.newaxis, :])
 
-    def _qi_fractions(self, query: CountQuery) -> np.ndarray:
-        qit = self.published.qit
-        mask = np.ones(qit.n, dtype=bool)
-        for name in query.qi_predicates:
-            mask &= query.lookup_table(name)[qit.qi_column(name)]
-        satisfied = np.bincount(
-            qit.group_ids[mask] - 1,
-            minlength=self._count._m).astype(np.float64)
-        return satisfied / self._count._group_sizes
-
     def sum(self, query: CountQuery) -> float:
-        p = self._qi_fractions(query)
+        p = self._count.qi_fractions(query)
         codes = sorted(query.sensitive_values)
         weighted = self._weighted[:, codes].sum(axis=1)
         return float((weighted * p).sum())
@@ -146,11 +129,11 @@ class GeneralizationAggregator:
         self.published = published
         self.measure = measure
         self._count = GeneralizationEstimator(published)
-        self._weighted = (self._count._sens_matrix
+        self._weighted = (self._count.index.sens_matrix
                           * measure.vector[np.newaxis, :])
 
     def sum(self, query: CountQuery) -> float:
-        p = self._count._qi_fraction(query)
+        p = self._count.qi_fractions(query)
         codes = sorted(query.sensitive_values)
         weighted = self._weighted[:, codes].sum(axis=1)
         return float((weighted * p).sum())

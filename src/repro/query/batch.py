@@ -62,7 +62,7 @@ from repro.dataset.table import Table
 from repro.exceptions import QueryError
 from repro.generalization.generalized_table import GeneralizedTable
 from repro.obs import metrics
-from repro.perf import span
+from repro.obs.tracing import span
 from repro.query.predicates import CountQuery
 
 #: Queries evaluated per chunk.  A multiple of 8 so chunks stay

@@ -49,9 +49,8 @@ class ExactEvaluator(BatchEvaluator):
         self.table = table
         self._index = MicrodataIndex(table)
 
-    def estimate(self, query: CountQuery) -> float:
-        """The actual query result (an exact integer, returned as
-        float for interface uniformity)."""
+    def qualifying(self, query: CountQuery) -> np.ndarray:
+        """Boolean mask of the microdata rows satisfying ``query``."""
         if query.schema != self.table.schema:
             raise QueryError(
                 f"query schema {query.schema!r} does not match the "
@@ -60,7 +59,12 @@ class ExactEvaluator(BatchEvaluator):
             self.table.schema.sensitive.name)[self.table.sensitive_column]
         for name in query.qi_predicates:
             mask &= query.lookup_table(name)[self.table.column(name)]
-        return float(np.count_nonzero(mask))
+        return mask
+
+    def estimate(self, query: CountQuery) -> float:
+        """The actual query result (an exact integer, returned as
+        float for interface uniformity)."""
+        return float(np.count_nonzero(self.qualifying(query)))
 
 
 class AnatomyEstimator(BatchEvaluator):
@@ -75,27 +79,25 @@ class AnatomyEstimator(BatchEvaluator):
     def __init__(self, published: AnatomizedTables) -> None:
         self.published = published
         self._index = anatomy_index_for(published)
-        self._m = self._index.m
-        self._st_matrix = self._index.st_matrix
-        self._group_sizes = self._index.group_sizes
+
+    def qi_fractions(self, query: CountQuery) -> np.ndarray:
+        """Per group ``j``, the exact fraction ``p_j`` of its tuples
+        satisfying the QI predicates, read off the QIT."""
+        qit = self.published.qit
+        mask = np.ones(qit.n, dtype=bool)
+        for name in query.qi_predicates:
+            mask &= query.lookup_table(name)[qit.qi_column(name)]
+        satisfied = np.bincount(qit.group_ids[mask] - 1,
+                                minlength=self._index.m).astype(np.float64)
+        return satisfied / self._index.group_sizes
 
     def estimate(self, query: CountQuery) -> float:
         """``sum_j count_j(V_s) * p_j`` with ``p_j`` the exact in-group
         QI-predicate fraction read off the QIT."""
-        qit = self.published.qit
-        schema = self.published.schema
-        # Exact per-group qualifying-QI counts from the QIT.
-        mask = np.ones(qit.n, dtype=bool)
-        for name in query.qi_predicates:
-            lut = query.lookup_table(name)
-            mask &= lut[qit.qi_column(name)]
-        satisfied = np.bincount(qit.group_ids[mask] - 1,
-                                minlength=self._m).astype(np.float64)
-        p = satisfied / self._group_sizes
         # Per-group count of qualifying sensitive values from the ST.
-        count_s = self._st_matrix[:, query.sensitive_code_array].sum(axis=1)
-        _ = schema  # schemas validated at construction
-        return float((count_s * p).sum())
+        count_s = self._index.st_matrix[
+            :, query.sensitive_code_array].sum(axis=1)
+        return float((count_s * self.qi_fractions(query)).sum())
 
 
 class GeneralizationEstimator(BatchEvaluator):
@@ -110,23 +112,19 @@ class GeneralizationEstimator(BatchEvaluator):
     def __init__(self, published: GeneralizedTable) -> None:
         self.published = published
         self._index = GeneralizationIndex(published)
-        self._m = self._index.m
-        self._los = self._index.lows
-        self._his = self._index.highs
-        self._sens_matrix = self._index.sens_matrix
 
-    def _qi_fraction(self, query: CountQuery) -> np.ndarray:
+    def qi_fractions(self, query: CountQuery) -> np.ndarray:
         """Per group, the assumed-uniform probability that a tuple
         satisfies all QI predicates: the product over constrained
         attributes of (predicate values inside the group's interval) /
         (interval length)."""
-        fraction = np.ones(self._m, dtype=np.float64)
-        for name, codes in query.qi_predicates.items():
+        fraction = np.ones(self._index.m, dtype=np.float64)
+        for name in query.qi_predicates:
             lut = query.lookup_table(name)
             cumulative = np.concatenate(
                 ([0], np.cumsum(lut.astype(np.int64))))
-            los = self._los[name]
-            his = self._his[name]
+            los = self._index.lows[name]
+            his = self._index.highs[name]
             inside = cumulative[his + 1] - cumulative[los]
             fraction *= inside / (his - los + 1)
         return fraction
@@ -134,6 +132,6 @@ class GeneralizationEstimator(BatchEvaluator):
     def estimate(self, query: CountQuery) -> float:
         """``sum_j count_j(V_s) * p_j`` with ``p_j`` the uniformity-based
         in-box fraction."""
-        count_s = self._sens_matrix[:, query.sensitive_code_array].sum(
-            axis=1)
-        return float((count_s * self._qi_fraction(query)).sum())
+        count_s = self._index.sens_matrix[
+            :, query.sensitive_code_array].sum(axis=1)
+        return float((count_s * self.qi_fractions(query)).sum())

@@ -130,20 +130,8 @@ def evaluate_workload(queries: Sequence[CountQuery],
     the workload goes through the vectorized engine; ``mode`` is the
     batch mode (``"exact"`` is bit-identical to the per-query loop).
     """
-    if batch and _supports_batch(exact) and _supports_batch(estimator):
-        return _evaluate_batch(queries, exact, {"_": estimator},
-                               mode)["_"]
-    result = WorkloadResult()
-    for query in queries:
-        actual = exact.estimate(query)
-        if actual == 0:
-            result.skipped_zero_actual += 1
-            continue
-        estimate = estimator.estimate(query)
-        result.actuals.append(actual)
-        result.estimates.append(estimate)
-        result.errors.append(abs(actual - estimate) / actual)
-    return result
+    return evaluate_workload_many(queries, exact, {"_": estimator},
+                                  batch=batch, mode=mode)["_"]
 
 
 def evaluate_workload_many(queries: Sequence[CountQuery], exact,

@@ -14,6 +14,7 @@ qualifies when every constrained attribute's code is in its set.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from typing import Any
 
 import numpy as np
 

@@ -31,7 +31,7 @@ from concurrent.futures import Future
 from repro.exceptions import QueryError, ServiceError
 from repro.obs import metrics, tracing
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
-from repro.perf import span
+from repro.obs.tracing import span
 from repro.query.predicates import CountQuery
 from repro.service.cache import LRUCache, query_fingerprint
 from repro.service.registry import (

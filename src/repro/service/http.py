@@ -27,8 +27,8 @@ frontend.  Endpoints (all bodies JSON):
   batch-coalescing histograms, and the per-version privacy-audit
   gauges of :mod:`repro.obs.audit`.  ``GET /metrics?format=json`` (or
   ``Accept: application/json``) returns the JSON document instead,
-  which also carries the perf recorder's per-span aggregates
-  (:meth:`repro.perf.PerfRecorder.totals`).
+  which also carries the service tracer's per-span aggregates
+  (:meth:`repro.obs.tracing.Tracer.totals`).
 * ``GET  /stats`` — service-wide statistics: cache counters, per
   endpoint latency quantiles (p50/p99 interpolated from the request
   histogram), every publication's stats (including its latest privacy
@@ -48,9 +48,10 @@ spans and metric snapshots to rotating JSON-lines files.
 Error mapping: malformed requests and ``ReproError`` subclasses are
 400, unknown publications/paths 404, duplicate creation 409.
 
-With ``--trace`` every request runs inside an ``http.request`` span
-(:mod:`repro.obs.tracing`) and downstream ingest/seal/batch spans link
-to it; with ``--log-json`` the request log is emitted as JSON lines
+Every request runs inside an ``http.request`` span
+(:mod:`repro.obs.tracing`); with ``--trace`` the service's tracer also
+keeps the span records, and downstream ingest/seal/batch spans link to
+it; with ``--log-json`` the request log is emitted as JSON lines
 carrying the trace/span IDs (:mod:`repro.obs.logging`).
 """
 
@@ -76,7 +77,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.monitor import CanaryConfig, CanaryMonitor
 from repro.obs.slo import HealthEngine, SLOConfig
-from repro.perf import PerfRecorder, set_recorder
 from repro.query.batch import index_cache_stats
 from repro.query.predicates import CountQuery
 from repro.service.frontend import QueryFrontend
@@ -97,9 +97,14 @@ _UNSET = object()
 
 class ReproService:
     """Bundles registry, frontend, and the observability stack
-    (perf recorder, typed-metrics registry, optional tracer,
-    structured logger, canary utility monitor, SLO health engine, and
-    telemetry exporter) for serving.
+    (one tracer, typed-metrics registry, structured logger, canary
+    utility monitor, SLO health engine, and telemetry exporter) for
+    serving.
+
+    The tracer is the service's only span sink: it always folds spans
+    into the per-name aggregates of ``/metrics?format=json``'s
+    ``spans``, and keeps span records (``traces``) only with
+    ``trace=True``.
 
     The monitor/health/exporter trio is strictly opt-in: with the
     defaults nothing is constructed, no background thread starts, and
@@ -108,7 +113,6 @@ class ReproService:
 
     def __init__(self, *, mode: str = "exact", cache_size: int = 4096,
                  batch_window_s: float = 0.001,
-                 recorder: PerfRecorder | None = None,
                  trace: bool = False, log_json: bool = False,
                  log_stream: TextIO | None = None,
                  monitor: bool = False,
@@ -121,12 +125,12 @@ class ReproService:
         self.frontend = QueryFrontend(
             self.registry, cache_size=cache_size,
             batch_window_s=batch_window_s, mode=mode)
-        self.recorder = recorder if recorder is not None \
-            else PerfRecorder(role="repro.service")
         self.metrics_registry = MetricsRegistry()
         self.metrics_registry.register_collector(self._collect)
         register_build_info(self.metrics_registry)
-        self.tracer = tracing.Tracer() if trace else None
+        self.trace = trace
+        self.tracer = tracing.Tracer() if trace \
+            else tracing.Tracer(max_spans=0)
         self.logger = obs_logging.StructuredLogger(
             stream=log_stream if log_stream is not None else sys.stderr,
             service="repro.service") if log_json else None
@@ -142,12 +146,11 @@ class ReproService:
         self.exporter: TelemetryExporter | None = None
         if telemetry_path is not None:
             self.exporter = TelemetryExporter(
-                telemetry_path, tracer=self.tracer,
+                telemetry_path, tracer=self.tracer if trace else None,
                 registry=self.metrics_registry,
                 interval_s=telemetry_interval_s,
                 memory_watermarks=telemetry_memory,
                 logger=self.logger)
-        self._previous_recorder: object = _UNSET
         self._previous_registry: object = _UNSET
         self._previous_tracer: object = _UNSET
         self._lock = threading.Lock()
@@ -161,25 +164,18 @@ class ReproService:
             self.exporter.start()
 
     def install_recorder(self) -> None:
-        """Route the global observability hooks to this service: perf
-        spans to its recorder, typed metrics to its registry, and —
-        when tracing is on — trace spans to its tracer (so ``/metrics``
+        """Route the global observability hooks to this service: spans
+        to its tracer and typed metrics to its registry (so ``/metrics``
         sees ingest/seal/query-batch activity)."""
         with self._lock:
-            if self._previous_recorder is _UNSET:
-                self._previous_recorder = set_recorder(self.recorder)
             if self._previous_registry is _UNSET:
                 self._previous_registry = obs_metrics.set_registry(
                     self.metrics_registry)
-            if self.tracer is not None and \
-                    self._previous_tracer is _UNSET:
+            if self._previous_tracer is _UNSET:
                 self._previous_tracer = tracing.set_tracer(self.tracer)
 
     def restore_recorder(self) -> None:
         with self._lock:
-            if self._previous_recorder is not _UNSET:
-                set_recorder(self._previous_recorder)  # type: ignore[arg-type]
-                self._previous_recorder = _UNSET
             if self._previous_registry is not _UNSET:
                 obs_metrics.set_registry(self._previous_registry)  # type: ignore[arg-type]
                 self._previous_registry = _UNSET
@@ -230,12 +226,12 @@ class ReproService:
 
     def metrics(self) -> dict:
         document = {
-            "spans": self.recorder.totals(),
+            "spans": self.tracer.totals(),
             "cache": self.frontend.cache_stats(),
             "publications": self.registry.stats(),
             "metrics": self.metrics_registry.to_json(),
         }
-        if self.tracer is not None:
+        if self.trace:
             document["traces"] = self.tracer.finished()
         return document
 

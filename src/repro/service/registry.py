@@ -35,7 +35,7 @@ from repro.obs.audit import (
     audit_publication,
     record_publication_audit,
 )
-from repro.perf import span
+from repro.obs.tracing import span
 from repro.query.estimators import AnatomyEstimator
 from repro.service.locks import RWLock
 

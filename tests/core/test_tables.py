@@ -117,6 +117,16 @@ class TestAnatomizedTables:
         assert paper_published.breach_probability_bound() \
             == pytest.approx(0.5)
 
+    def test_breach_bound_of_empty_release_is_zero(self, hospital):
+        schema = hospital.schema
+        empty = np.empty(0, dtype=np.int32)
+        release = AnatomizedTables(
+            schema,
+            QuasiIdentifierTable(
+                schema, np.empty((0, schema.d), dtype=np.int32), empty),
+            SensitiveTable(schema, empty, empty, empty))
+        assert release.breach_probability_bound() == 0.0
+
     def test_natural_join_matches_table_4(self, paper_published,
                                           hospital):
         """Lemma 1: QIT |x| ST for group 1 yields each tuple paired with

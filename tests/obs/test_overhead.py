@@ -21,7 +21,6 @@ import pytest
 from repro.core.anatomize import anatomize
 from repro.obs import metrics, tracing
 from repro.obs.tracing import NOOP_SPAN
-from repro.perf import span as perf_span
 from repro.query.estimators import AnatomyEstimator
 from repro.query.predicates import CountQuery
 
@@ -30,8 +29,7 @@ class TestDisabledIdentity:
     def test_all_disabled_hooks_share_one_noop_span(self):
         assert tracing.active_tracer() is None
         assert metrics.active_registry() is None
-        spans = {tracing.span("a"), tracing.span("b", x=1),
-                 perf_span("c"), perf_span("d", y=2)}
+        spans = {tracing.span("a"), tracing.span("b", x=1)}
         assert spans == {NOOP_SPAN}
 
 
@@ -98,7 +96,7 @@ class TestDisabledTiming:
         def disabled_spans():
             start = time.perf_counter()
             for _ in range(iterations):
-                with perf_span("hot.loop"):
+                with tracing.span("hot.loop"):
                     pass
             return time.perf_counter() - start
 

@@ -6,8 +6,6 @@ import pytest
 
 from repro.obs import tracing
 from repro.obs.tracing import NOOP_SPAN, ContextSnapshot, Tracer
-from repro.perf import PerfRecorder, set_recorder
-from repro.perf import span as perf_span
 
 
 @pytest.fixture()
@@ -97,6 +95,7 @@ class TestSpans:
             pass
         tracer.clear()
         assert tracer.finished() == [] and tracer.dropped == 0
+        assert tracer.totals() == {}
 
     def test_overflow_bumps_the_dropped_spans_counter(self):
         from repro.obs import metrics
@@ -116,6 +115,45 @@ class TestSpans:
         counter = registry.get("repro_trace_spans_dropped_total")
         assert counter is not None and counter.value() == 2.0
         assert tracer.dropped == 2
+
+
+class TestAggregates:
+    def test_overflow_still_counts_every_span(self):
+        tracer = Tracer(max_spans=2)
+        previous = tracing.set_tracer(tracer)
+        try:
+            for _ in range(100):
+                with tracing.span("hot"):
+                    pass
+        finally:
+            tracing.set_tracer(previous)
+        assert tracer.totals()["hot"]["count"] == 100
+        assert len(tracer) == 2 and tracer.dropped == 98
+
+    def test_aggregates_only_tracer_keeps_no_records(self):
+        from repro.obs import metrics
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        tracer = Tracer(max_spans=0)
+        previous_tracer = tracing.set_tracer(tracer)
+        previous_registry = metrics.set_registry(registry)
+        try:
+            for _ in range(5):
+                with tracing.span("work"):
+                    assert tracing.current_context() is None
+            tracing.record("bench.work", 0.25)
+        finally:
+            tracing.set_tracer(previous_tracer)
+            metrics.set_registry(previous_registry)
+        assert tracer.finished() == [] and len(tracer) == 0
+        assert tracer.dropped == 0
+        assert registry.get("repro_trace_spans_dropped_total") is None
+        totals = tracer.totals()
+        assert totals["work"]["count"] == 5
+        assert totals["bench.work"] == {
+            "count": 1, "total_s": 0.25, "min_s": 0.25, "max_s": 0.25,
+            "mean_s": 0.25}
 
 class TestDrain:
     def test_drain_takes_everything_exactly_once(self, tracer):
@@ -222,33 +260,3 @@ class TestCrossThread:
         assert len(tracer) == 8 * 50
         ids = [s["span_id"] for s in tracer.finished()]
         assert len(set(ids)) == len(ids)  # IDs unique across threads
-
-
-class TestPerfShim:
-    def test_perf_span_feeds_both_recorder_and_tracer(self, tracer):
-        recorder = PerfRecorder()
-        previous = set_recorder(recorder)
-        try:
-            with perf_span("region", n=5):
-                pass
-        finally:
-            set_recorder(previous)
-        assert recorder.totals()["region"]["count"] == 1
-        record, = tracer.find("region")
-        assert record["attributes"] == {"n": 5}
-
-    def test_perf_span_traces_even_without_a_recorder(self, tracer):
-        with perf_span("traced.only"):
-            pass
-        assert len(tracer.find("traced.only")) == 1
-
-    def test_perf_span_nests_inside_tracing_spans(self, tracer):
-        with tracing.span("outer") as outer:
-            with perf_span("inner"):
-                pass
-        inner, = tracer.find("inner")
-        assert inner["parent_id"] == outer.span_id
-
-    def test_perf_span_is_noop_when_both_sinks_disabled(self):
-        assert tracing.active_tracer() is None
-        assert perf_span("anything") is NOOP_SPAN

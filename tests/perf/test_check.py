@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.perf.check import compare, load_summary, main
+from repro.perf.check import DEFAULT_BASELINE, compare, load_summary, main
 
 
 def summary(spans):
@@ -70,6 +70,16 @@ class TestLoadSummary:
         path = write(tmp_path / "list.json", [1, 2, 3])
         with pytest.raises(ValueError, match="not a benchmark summary"):
             load_summary(path)
+
+
+class TestCommittedBaseline:
+    def test_baseline_holds_span_aggregates_only(self):
+        baseline = load_summary(DEFAULT_BASELINE)
+        assert set(baseline) == {"schema_version", "metadata", "spans"}
+        assert baseline["spans"]
+        for stats in baseline["spans"].values():
+            assert set(stats) == {"count", "total_s", "min_s", "max_s",
+                                  "mean_s"}
 
 
 class TestMain:

@@ -1,4 +1,5 @@
-"""Unit tests for the perf recorder and library span coverage."""
+"""Unit tests for the tracer's span aggregates, the summary writer and
+library span coverage."""
 
 import json
 
@@ -7,15 +8,7 @@ import pytest
 from repro.core.incremental import IncrementalAnatomizer
 from repro.dataset.schema import Attribute, Schema
 from repro.obs import tracing
-from repro.perf import PerfRecorder, active_recorder, set_recorder, span
-
-
-@pytest.fixture()
-def recorder():
-    recorder = PerfRecorder(scale="test")
-    previous = set_recorder(recorder)
-    yield recorder
-    set_recorder(previous)
+from repro.perf.check import write_summary
 
 
 @pytest.fixture()
@@ -26,113 +19,124 @@ def tracer():
     tracing.set_tracer(previous)
 
 
-class TestPerfRecorder:
+class TestTracerAggregates:
     def test_write_creates_missing_parent_directories(self, tmp_path):
-        recorder = PerfRecorder()
-        recorder.record("x", 0.5)
+        tracer = tracing.Tracer()
+        tracer.record("x", 0.5)
         path = tmp_path / "deeply" / "nested" / "summary.json"
-        assert recorder.write(str(path)) == str(path)
+        assert write_summary(str(path), tracer.totals()) == str(path)
         document = json.loads(path.read_text())
         assert document["spans"]["x"]["count"] == 1
 
     def test_write_into_existing_directory_still_works(self, tmp_path):
-        recorder = PerfRecorder()
         path = tmp_path / "summary.json"
-        recorder.write(str(path))
-        assert path.exists()
+        write_summary(str(path), {}, scale="test")
+        assert json.loads(path.read_text()) == {
+            "schema_version": 1, "metadata": {"scale": "test"},
+            "spans": {}}
 
     def test_many_spans_under_one_name_fold_into_one_aggregate(self):
-        recorder = PerfRecorder()
+        tracer = tracing.Tracer(max_spans=0)
         for i in range(10_000):
-            recorder.record("service.query.batch", 0.001 * (i % 7),
-                            queries=i)
-        assert list(recorder.totals()) == ["service.query.batch"]
-        stats = recorder.totals()["service.query.batch"]
+            tracer.record("service.query.batch", 0.001 * (i % 7))
+        assert list(tracer.totals()) == ["service.query.batch"]
+        stats = tracer.totals()["service.query.batch"]
         assert stats["count"] == 10_000
         assert stats["min_s"] == 0.0
         assert stats["max_s"] == pytest.approx(0.006)
         assert stats["mean_s"] == pytest.approx(stats["total_s"] / 10_000)
-        assert set(recorder.summary()) == {"schema_version", "metadata",
-                                           "spans"}
-        assert len(recorder._aggregates) == 1
+        assert set(stats) == {"count", "total_s", "min_s", "max_s",
+                              "mean_s"}
+        assert len(tracer._aggregates) == 1
 
-    def test_span_noop_without_recorder(self):
-        assert active_recorder() is None
-        with span("anything"):  # must not raise, must not record
+    def test_span_noop_without_tracer(self):
+        assert tracing.active_tracer() is None
+        with tracing.span("anything"):  # must not raise, must not record
             pass
+        tracing.record("anything", 1.0)
 
 
 class TestIncrementalSpans:
-    def test_ingest_and_seal_paths_are_instrumented(self, recorder,
-                                                    tracer):
+    def test_ingest_and_seal_paths_are_instrumented(self, tracer):
         schema = Schema([Attribute("A", range(50))],
                         Attribute("S", range(20)))
         inc = IncrementalAnatomizer(schema, l=3)
         sealed = inc.insert_codes([(i, i % 20) for i in range(30)])
         assert sealed == inc.group_count > 0
-        totals = recorder.totals()
+        totals = tracer.totals()
         assert totals["incremental.ingest"]["count"] == 1
         assert totals["incremental.seal"]["count"] == 1
         ingest_span, = tracer.find("incremental.ingest")
         assert ingest_span["attributes"]["rows"] == 30
+        seal_span, = tracer.find("incremental.seal")
+        assert seal_span["attributes"]["sealed"] == sealed
+        assert seal_span["parent_id"] == ingest_span["span_id"]
 
-    def test_no_seal_span_when_nothing_seals(self, recorder):
+    def test_no_seal_span_when_nothing_seals(self, tracer):
         schema = Schema([Attribute("A", range(50))],
                         Attribute("S", range(20)))
         inc = IncrementalAnatomizer(schema, l=5)
         inc.insert_codes([(0, 0), (1, 1)])  # buffers, seals nothing
-        totals = recorder.totals()
+        totals = tracer.totals()
         assert totals["incremental.ingest"]["count"] == 1
         assert "incremental.seal" not in totals
+        assert tracer.find("incremental.seal") == []
 
 
 class TestThreadSafety:
     def test_concurrent_recording_loses_no_entries(self):
-        """Regression test: the serving stack records spans from many
-        handler threads against one shared recorder; a bare list append
-        raced under free-threaded builds and lost entries."""
+        """Regression test: the serving stack finishes spans from many
+        handler threads against one shared tracer; an unguarded
+        read-modify-write of an aggregate would lose counts."""
+        import sys
         import threading
 
-        recorder = PerfRecorder()
+        tracer = tracing.Tracer(max_spans=0)
         threads_n, per_thread = 8, 500
 
         def hammer(i):
-            for k in range(per_thread):
-                recorder.record(f"thread-{i}", 0.001, iteration=k)
+            for _ in range(per_thread):
+                tracer.record(f"thread-{i}", 0.001)
+                with tracer.span("shared"):
+                    pass
 
         threads = [threading.Thread(target=hammer, args=(i,))
                    for i in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        totals = recorder.totals()
-        assert sum(s["count"] for s in totals.values()) == \
-            threads_n * per_thread
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        totals = tracer.totals()
+        assert totals["shared"]["count"] == threads_n * per_thread
         for i in range(threads_n):
             assert totals[f"thread-{i}"]["count"] == per_thread
 
-    def test_summary_is_consistent_while_recording(self):
-        """totals()/summary() may run concurrently with record()."""
+    def test_summary_is_consistent_while_recording(self, tmp_path):
+        """totals() and the summary writer may run concurrently with
+        record()."""
         import threading
 
-        recorder = PerfRecorder()
+        tracer = tracing.Tracer(max_spans=0)
         stop = threading.Event()
         errors = []
 
         def writer():
-            i = 0
             while not stop.is_set():
-                recorder.record("w", 0.001, i=i)
-                i += 1
+                tracer.record("w", 0.001)
 
         def reader():
             try:
                 while not stop.is_set():
-                    totals = recorder.totals()
+                    totals = tracer.totals()
                     if "w" in totals:
                         assert totals["w"]["count"] >= 1
-                    recorder.summary()
+                    write_summary(str(tmp_path / "summary.json"), totals)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.anatomize import anatomize, anatomize_partition
 from repro.core.diversity import max_feasible_l
+from repro.core.incremental import IncrementalAnatomizer
 from repro.core.privacy import verify_tuple_level_guarantee
 from repro.core.rce import (
     anatomize_rce_formula,
@@ -94,6 +95,39 @@ def test_corollary_1_breach_bound(instance):
     published = anatomize(table, l, seed=0)
     assert published.breach_probability_bound() <= 1.0 / l + 1e-12
     assert verify_tuple_level_guarantee(published, l)
+
+
+def loop_breach_bound(published) -> float:
+    """Corollary 1 as one Python pass over the groups' distributions:
+    the reference the vectorized bound must match bit for bit."""
+    worst = 0.0
+    for gid in range(1, published.st.group_count() + 1):
+        worst = max(worst,
+                    max(published.st.group_distribution(gid).values()))
+    return worst
+
+
+@pytest.mark.parametrize("method", ["heap", "fast"])
+@settings(max_examples=40, deadline=None)
+@given(eligible_instance())
+def test_breach_bound_matches_group_loop(method, instance):
+    codes, l = instance
+    published = anatomize(build_table(codes), l, seed=0, method=method)
+    assert published.breach_probability_bound() == \
+        loop_breach_bound(published)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=31), max_size=120),
+       st.integers(min_value=2, max_value=6))
+def test_incremental_breach_bound_matches_group_loop(codes, l):
+    schema = build_table([]).schema
+    inc = IncrementalAnatomizer(schema, l=l, seed=0)
+    inc.insert_codes([(i % 32, c) for i, c in enumerate(codes)])
+    for version in range(1, inc.version + 1):
+        published = inc.publish(at_version=version)
+        assert published.breach_probability_bound() == \
+            loop_breach_bound(published)
 
 
 @settings(max_examples=40, deadline=None)

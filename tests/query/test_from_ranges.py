@@ -1,6 +1,8 @@
 """Tests for the range-based query constructor and a differential check
 of the anatomy estimator against a join-based reference."""
 
+import typing
+
 import pytest
 
 from repro.core.partition import Partition
@@ -13,6 +15,10 @@ from repro.query.workload import make_workload
 
 
 class TestFromRanges:
+    def test_annotations_resolve(self):
+        hints = typing.get_type_hints(CountQuery.from_ranges)
+        assert hints["return"] is CountQuery
+
     def test_query_a_via_ranges(self, hospital):
         q = CountQuery.from_ranges(
             hospital.schema,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import QueryError, ServiceError
 from repro.obs import tracing
-from repro.perf import PerfRecorder, set_recorder
 from repro.query.predicates import CountQuery
 from repro.service.frontend import QueryFrontend
 from repro.service.registry import PublicationRegistry
@@ -21,14 +20,6 @@ def served(schema):
     frontend = QueryFrontend(registry, batch_window_s=0.0005)
     yield registry, publication, frontend
     frontend.close()
-
-
-@pytest.fixture()
-def recorder():
-    recorder = PerfRecorder()
-    previous = set_recorder(recorder)
-    yield recorder
-    set_recorder(previous)
 
 
 @pytest.fixture()
@@ -117,11 +108,11 @@ class TestBatchPath:
             assert not answer.cached
 
     def test_large_batch_goes_through_batch_engine(self, served, schema,
-                                                   recorder, tracer):
+                                                   tracer):
         _, _, frontend = served
         queries = query_pool(schema, 128)
         frontend.query_batch("p", queries)
-        totals = recorder.totals()
+        totals = tracer.totals()
         # one micro-batch of 128 through the vectorized engine, not a
         # per-query loop
         assert totals["service.query.batch"]["count"] == 1

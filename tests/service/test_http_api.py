@@ -4,7 +4,7 @@ Covers the PR's acceptance walk-through: create a publication over
 HTTP, ingest rows in two waves, check old Group-IDs are unchanged
 across versions, cached answers are invalidated on version bump, and a
 served micro-batch of >= 100 queries goes through the batch engine
-(asserted via the ``/metrics`` perf spans).
+(asserted via the ``/metrics`` span aggregates).
 """
 
 from __future__ import annotations
@@ -29,8 +29,11 @@ SCHEMA_SPEC = {"qi": [{"name": "A", "size": 50}],
 
 
 @pytest.fixture()
-def server():
-    service = ReproService(batch_window_s=0.0005)
+def server(request):
+    """A served ReproService; parametrize indirectly with ``True`` to
+    run it with ``trace=True``."""
+    service = ReproService(batch_window_s=0.0005,
+                           trace=getattr(request, "param", False))
     server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -318,6 +321,29 @@ class TestObservability:
             "/metrics", accept="application/json")
         assert content_type == "application/json"
         json.loads(text)
+
+    @pytest.mark.parametrize("server", [False, True], indirect=True,
+                             ids=["untraced", "traced"])
+    def test_snapshot_span_counts_versions_built(self, server, api):
+        """``spans["service.snapshot"]["count"]`` is one per release
+        version a snapshot was built for, whether or not the tracer
+        keeps span records."""
+        create_publication(api)
+        versions = set()
+        for wave in range(3):
+            status, result = api("POST", "/publications/p/ingest",
+                                 {"rows": make_rows(30, start=30 * wave)})
+            assert status == 200 and result["sealed_groups"] > 0
+            for _ in range(2):  # the second query reuses the snapshot
+                status, answer = api("POST", "/publications/p/query",
+                                     QUERY)
+                versions.add(answer["version"])
+        status, metrics = api("GET", "/metrics?format=json")
+        assert status == 200
+        assert metrics["spans"]["service.snapshot"]["count"] == \
+            len(versions) == 3
+        assert metrics["spans"]["http.request"]["count"] >= 10
+        assert ("traces" in metrics) == server.service.trace
 
     def test_metrics_unknown_format_rejected(self, api):
         assert api("GET", "/metrics?format=xml")[0] == 400
