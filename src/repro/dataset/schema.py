@@ -14,6 +14,7 @@ generator, Equation 14 of the paper) exact.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from typing import Any
@@ -153,7 +154,7 @@ class Schema:
         The sensitive attribute.
     """
 
-    __slots__ = ("qi_attributes", "sensitive", "_by_name")
+    __slots__ = ("qi_attributes", "sensitive", "_by_name", "domain_slices")
 
     def __init__(self, qi_attributes: Sequence[Attribute],
                  sensitive: Attribute) -> None:
@@ -168,6 +169,11 @@ class Schema:
             a.name: a for a in self.qi_attributes
         }
         self._by_name[sensitive.name] = sensitive
+        #: Each attribute's columns in the concatenation of all domains
+        #: (QI in order, then sensitive): the layout of a query's row.
+        ends = itertools.accumulate(a.size for a in self.attributes)
+        self.domain_slices = {a.name: slice(end - a.size, end)
+                              for a, end in zip(self.attributes, ends)}
 
     @property
     def d(self) -> int:

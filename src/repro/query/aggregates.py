@@ -93,56 +93,47 @@ class ExactAggregator:
         return self.sum(query) / count
 
 
-class AnatomyAggregator:
+class _GroupAggregator:
+    """SUM / AVG estimation from a publication's per-group COUNT
+    estimator and its ``(m, |As|)`` sensitive histogram."""
+
+    def __init__(self, published, measure: Measure, count,
+                 histogram: np.ndarray) -> None:
+        self.published = published
+        self.measure = measure
+        self._count = count
+        self._weighted = histogram * measure.vector[np.newaxis, :]
+
+    def sum(self, query: CountQuery) -> float:
+        p = self._count.qi_fractions(query)
+        weighted = self._weighted[
+            :, query.lookup_table(query.schema.sensitive.name)].sum(axis=1)
+        return float((weighted * p).sum())
+
+    def count(self, query: CountQuery) -> float:
+        return self._count.estimate(query)
+
+    def avg(self, query: CountQuery) -> float:
+        count = self.count(query)
+        if count == 0:
+            raise QueryError("AVG undefined: estimated count is 0")
+        return self.sum(query) / count
+
+
+class AnatomyAggregator(_GroupAggregator):
     """SUM / AVG estimation from a QIT/ST pair."""
 
     def __init__(self, published: AnatomizedTables,
                  measure: Measure) -> None:
-        self.published = published
-        self.measure = measure
-        self._count = AnatomyEstimator(published)
-        # (m, |As|) count matrix weighted by the measure.
-        self._weighted = (self._count.index.st_matrix
-                          * measure.vector[np.newaxis, :])
-
-    def sum(self, query: CountQuery) -> float:
-        p = self._count.qi_fractions(query)
-        codes = sorted(query.sensitive_values)
-        weighted = self._weighted[:, codes].sum(axis=1)
-        return float((weighted * p).sum())
-
-    def count(self, query: CountQuery) -> float:
-        return self._count.estimate(query)
-
-    def avg(self, query: CountQuery) -> float:
-        count = self.count(query)
-        if count == 0:
-            raise QueryError("AVG undefined: estimated count is 0")
-        return self.sum(query) / count
+        count = AnatomyEstimator(published)
+        super().__init__(published, measure, count, count.index.st_matrix)
 
 
-class GeneralizationAggregator:
+class GeneralizationAggregator(_GroupAggregator):
     """SUM / AVG estimation from a generalized table."""
 
     def __init__(self, published: GeneralizedTable,
                  measure: Measure) -> None:
-        self.published = published
-        self.measure = measure
-        self._count = GeneralizationEstimator(published)
-        self._weighted = (self._count.index.sens_matrix
-                          * measure.vector[np.newaxis, :])
-
-    def sum(self, query: CountQuery) -> float:
-        p = self._count.qi_fractions(query)
-        codes = sorted(query.sensitive_values)
-        weighted = self._weighted[:, codes].sum(axis=1)
-        return float((weighted * p).sum())
-
-    def count(self, query: CountQuery) -> float:
-        return self._count.estimate(query)
-
-    def avg(self, query: CountQuery) -> float:
-        count = self.count(query)
-        if count == 0:
-            raise QueryError("AVG undefined: estimated count is 0")
-        return self.sum(query) / count
+        count = GeneralizationEstimator(published)
+        super().__init__(published, measure, count,
+                         count.index.sens_matrix)

@@ -8,13 +8,14 @@ the published view and a **per-workload encoding**, after which an entire
 workload is answered by dense array passes whose arithmetic is
 O(workload), not O(workload x n):
 
-* :class:`WorkloadEncoding` turns ``Q`` queries into per-attribute
-  membership tables with the *bit axis along queries*: for attribute
-  ``A``, a ``(|A|, ceil(Q/8))`` uint8 matrix whose bit ``q`` of row ``c``
-  says whether query ``q`` accepts code ``c`` (unconstrained queries
-  accept every code).  One gather per attribute then produces the
-  qualification mask of *all* queries at once, and the conjunction over
-  attributes is a bitwise AND.
+* :class:`WorkloadEncoding` stacks the ``Q`` queries' membership rows
+  (:mod:`repro.query.predicates`) into one ``(Q, width)`` matrix and
+  slices it per attribute into membership tables with the *bit axis
+  along queries*: for attribute ``A``, a ``(|A|, ceil(Q/8))`` uint8
+  matrix whose bit ``q`` of row ``c`` says whether query ``q`` accepts
+  code ``c`` (unconstrained queries accept every code).  One gather per
+  attribute then produces the qualification mask of *all* queries at
+  once, and the conjunction over attributes is a bitwise AND.
 
 * :class:`MicrodataIndex` (ground truth) gathers those bit rows per
   microdata row, ANDs across columns, and column-sums the unpacked bits:
@@ -89,80 +90,45 @@ class WorkloadEncoding:
     """
 
     __slots__ = ("schema", "n_queries", "qi_luts", "qi_bits",
-                 "sens_bits", "sens_indicator", "_cumulative_luts")
+                 "sens_bits", "sens_indicator")
 
     def __init__(self, schema: Schema,
                  queries: Sequence[CountQuery]) -> None:
         queries = list(queries)
         self.schema = schema
         self.n_queries = len(queries)
-        seen = {id(schema)}
-        for query in queries:
-            if id(query.schema) not in seen:
-                if query.schema != schema:
-                    raise QueryError(
-                        f"workload query schema {query.schema!r} does "
-                        f"not match encoding schema {schema!r}")
-                seen.add(id(query.schema))
-        q_count = self.n_queries
+        others = {id(q.schema): q.schema for q in queries
+                  if q.schema is not schema}
+        for other in others.values():
+            if other != schema:
+                raise QueryError(
+                    f"workload query schema {other!r} does not match "
+                    f"encoding schema {schema!r}")
+        slices = schema.domain_slices
+        rows = np.array([q.row for q in queries], dtype=np.uint8).reshape(
+            self.n_queries, slices[schema.sensitive.name].stop)
         #: name -> (Q, |A|) uint8 membership table, or None when no query
-        #: constrains the attribute (rows of unconstrained queries are
-        #: all-ones, so gathering them is a no-op AND).
+        #: constrains the attribute (all-zero slices of unconstrained
+        #: queries become all-ones, so gathering them is a no-op AND).
         self.qi_luts: dict[str, np.ndarray | None] = {}
         #: name -> (|A|, ceil(Q/8)) packed table, bit axis = queries.
         self.qi_bits: dict[str, np.ndarray | None] = {}
         for attr in schema.qi_attributes:
-            rows: list[int] = []
-            code_arrays: list[np.ndarray] = []
-            for qidx, query in enumerate(queries):
-                codes = query.qi_code_array(attr.name)
-                if codes is not None:
-                    rows.append(qidx)
-                    code_arrays.append(codes)
-            if not rows:
+            lut = rows[:, slices[attr.name]]
+            unconstrained = ~lut.any(axis=1)
+            if unconstrained.all():
                 self.qi_luts[attr.name] = None
                 self.qi_bits[attr.name] = None
                 continue
-            lut = np.zeros((q_count, attr.size), dtype=np.uint8)
-            row_idx = np.asarray(rows, dtype=np.int64)
-            lengths = np.fromiter((len(a) for a in code_arrays),
-                                  dtype=np.int64, count=len(code_arrays))
-            lut[np.repeat(row_idx, lengths),
-                np.concatenate(code_arrays)] = 1
-            if len(rows) < q_count:
-                unconstrained = np.ones(q_count, dtype=bool)
-                unconstrained[row_idx] = False
-                lut[unconstrained] = 1
+            lut = lut.copy()
+            lut[unconstrained] = 1
             self.qi_luts[attr.name] = lut
             self.qi_bits[attr.name] = np.packbits(lut.T, axis=1)
-        sens_size = schema.sensitive.size
-        sens_lut = np.zeros((q_count, sens_size), dtype=np.uint8)
-        if q_count:
-            sens_arrays = [q.sensitive_code_array for q in queries]
-            lengths = np.fromiter((len(a) for a in sens_arrays),
-                                  dtype=np.int64, count=q_count)
-            sens_lut[np.repeat(np.arange(q_count), lengths),
-                     np.concatenate(sens_arrays)] = 1
+        sens_lut = rows[:, slices[schema.sensitive.name]]
         self.sens_bits = np.packbits(sens_lut.T, axis=1)
         #: (Q, |As|) float64 indicator — the sensitive-side factor of the
         #: final contraction in both estimators.
         self.sens_indicator = sens_lut.astype(np.float64)
-        self._cumulative_luts: dict[str, np.ndarray | None] = {}
-
-    def cumulative_lut(self, name: str) -> np.ndarray | None:
-        """``(Q, |A|+1)`` int64 prefix sums of the membership table
-        (lazy; only the generalization index needs them)."""
-        if name not in self._cumulative_luts:
-            lut = self.qi_luts[name]
-            if lut is None:
-                self._cumulative_luts[name] = None
-            else:
-                cumulative = np.zeros((self.n_queries, lut.shape[1] + 1),
-                                      dtype=np.int64)
-                np.cumsum(lut, axis=1, dtype=np.int64,
-                          out=cumulative[:, 1:])
-                self._cumulative_luts[name] = cumulative
-        return self._cumulative_luts[name]
 
     def __repr__(self) -> str:
         constrained = sorted(n for n, b in self.qi_bits.items()
@@ -467,10 +433,13 @@ class GeneralizationIndex:
         for lo, hi, _, _ in _chunks(encoding.n_queries):
             fractions = np.ones((hi - lo, self.m), dtype=np.float64)
             for attr in self.schema.qi_attributes:
-                cumulative = encoding.cumulative_lut(attr.name)
-                if cumulative is None:
+                lut = encoding.qi_luts[attr.name]
+                if lut is None:
                     continue
-                chunk = cumulative[lo:hi]
+                # per-query prefix sums of the membership table
+                chunk = np.zeros((hi - lo, lut.shape[1] + 1), dtype=np.int64)
+                np.cumsum(lut[lo:hi], axis=1, dtype=np.int64,
+                          out=chunk[:, 1:])
                 inside = (chunk[:, self.highs[attr.name] + 1]
                           - chunk[:, self.lows[attr.name]])
                 # Unconstrained queries have all-ones rows, so inside ==

@@ -57,8 +57,8 @@ class ExactEvaluator(BatchEvaluator):
                 f"microdata schema {self.table.schema!r}")
         mask = query.lookup_table(
             self.table.schema.sensitive.name)[self.table.sensitive_column]
-        for name in query.qi_predicates:
-            mask &= query.lookup_table(name)[self.table.column(name)]
+        for name, lut in query.qi_lookup_tables().items():
+            mask &= lut[self.table.column(name)]
         return mask
 
     def estimate(self, query: CountQuery) -> float:
@@ -85,8 +85,8 @@ class AnatomyEstimator(BatchEvaluator):
         satisfying the QI predicates, read off the QIT."""
         qit = self.published.qit
         mask = np.ones(qit.n, dtype=bool)
-        for name in query.qi_predicates:
-            mask &= query.lookup_table(name)[qit.qi_column(name)]
+        for name, lut in query.qi_lookup_tables().items():
+            mask &= lut[qit.qi_column(name)]
         satisfied = np.bincount(qit.group_ids[mask] - 1,
                                 minlength=self._index.m).astype(np.float64)
         return satisfied / self._index.group_sizes
@@ -96,7 +96,7 @@ class AnatomyEstimator(BatchEvaluator):
         QI-predicate fraction read off the QIT."""
         # Per-group count of qualifying sensitive values from the ST.
         count_s = self._index.st_matrix[
-            :, query.sensitive_code_array].sum(axis=1)
+            :, query.lookup_table(query.schema.sensitive.name)].sum(axis=1)
         return float((count_s * self.qi_fractions(query)).sum())
 
 
@@ -119,8 +119,7 @@ class GeneralizationEstimator(BatchEvaluator):
         attributes of (predicate values inside the group's interval) /
         (interval length)."""
         fraction = np.ones(self._index.m, dtype=np.float64)
-        for name in query.qi_predicates:
-            lut = query.lookup_table(name)
+        for name, lut in query.qi_lookup_tables().items():
             cumulative = np.concatenate(
                 ([0], np.cumsum(lut.astype(np.int64))))
             los = self._index.lows[name]
@@ -133,5 +132,5 @@ class GeneralizationEstimator(BatchEvaluator):
         """``sum_j count_j(V_s) * p_j`` with ``p_j`` the uniformity-based
         in-box fraction."""
         count_s = self._index.sens_matrix[
-            :, query.sensitive_code_array].sum(axis=1)
+            :, query.lookup_table(query.schema.sensitive.name)].sum(axis=1)
         return float((count_s * self.qi_fractions(query)).sum())

@@ -9,17 +9,120 @@ where each ``pred(A)`` is a disjunction of equality conditions
 ``A = x_1 OR ... OR A = x_b`` over ``b`` random domain values.  A query
 therefore reduces to: per attribute, a *set* of accepted codes; a row
 qualifies when every constrained attribute's code is in its set.
+
+A :class:`CountQuery` holds exactly that as one read-only uint8
+*membership row* over the schema's concatenated domains
+(:attr:`~repro.dataset.schema.Schema.domain_slices`); an all-zero QI
+slice means "unconstrained" (empty predicates are rejected).  The
+fingerprint, the batch encoding and the lookup tables all read the row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+import hashlib
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.dataset.schema import Schema
 from repro.exceptions import QueryError
+
+
+def _membership_rows(schema: Schema, specs: Sequence[tuple[
+        Mapping[str, Iterable[int]], Iterable[int]]]) -> np.ndarray:
+    """The read-only ``(Q, width)`` uint8 membership rows of
+    ``(qi_predicates, sensitive_values)`` specs.  Structure is checked
+    per spec, integer type and domain range once for all of them; every
+    malformed spec raises :class:`QueryError`."""
+    slices = schema.domain_slices
+    names = list(slices)
+    index = {name: k for k, name in enumerate(names)}
+    sensitive = schema.sensitive.name
+    flat: list[Any] = []
+    #: Per predicate: owning spec, attribute index, number of codes.
+    owners: list[int] = []
+    attrs: list[int] = []
+    lengths: list[int] = []
+
+    def subject(name: str) -> str:
+        return ("sensitive predicate" if name == sensitive
+                else f"predicate on {name!r}")
+
+    def reject(position: int, problem: str) -> QueryError:
+        k = np.searchsorted(np.cumsum(lengths), position, side="right")
+        return QueryError(f"{subject(names[attrs[k]])} has {problem}")
+
+    for q, (qi_predicates, sensitive_values) in enumerate(specs):
+        if not isinstance(qi_predicates, Mapping):
+            raise QueryError(f"QI predicates must map attribute names "
+                             f"to codes, got {qi_predicates!r}")
+        if sensitive in qi_predicates:
+            raise QueryError(
+                f"{sensitive!r} is the sensitive attribute; pass its "
+                f"predicate as sensitive_values")
+        for name, codes in (*qi_predicates.items(),
+                            (sensitive, sensitive_values)):
+            if name not in index:
+                raise QueryError(f"unknown attribute {name!r}; schema "
+                                 f"has {names}")
+            before = len(flat)
+            try:
+                flat.extend(codes)
+            except TypeError:
+                raise QueryError(f"{subject(name)} must be a collection "
+                                 f"of integer codes, got {codes!r}") \
+                    from None
+            if len(flat) == before:
+                raise QueryError(f"empty {subject(name)}")
+            owners.append(q)
+            attrs.append(index[name])
+            lengths.append(len(flat) - before)
+    invalid = {kind for kind in set(map(type, flat)) if kind is bool
+               or not issubclass(kind, (int, np.integer))}
+    if invalid:
+        position = next(i for i, c in enumerate(flat) if type(c) in invalid)
+        raise reject(position, f"non-integer code {flat[position]!r}")
+    try:
+        codes = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        raise reject(next(i for i, c in enumerate(flat)
+                          if not -2**63 <= c < 2**63),
+                     "out-of-domain codes") from None
+    bounds = np.array([(c.start, c.stop) for c in slices.values()],
+                      dtype=np.int64)
+    lo, hi = bounds[np.array(attrs, dtype=np.intp).repeat(lengths)].T
+    codes += lo
+    bad = (codes < lo) | (codes >= hi)
+    if bad.any():
+        raise reject(int(np.argmax(bad)), "out-of-domain codes")
+    rows = np.zeros((len(specs), bounds[-1, 1]), dtype=np.uint8)
+    rows[np.array(owners, dtype=np.intp).repeat(lengths), codes] = 1
+    rows.flags.writeable = False
+    return rows
+
+
+def query_fingerprint(query: "CountQuery") -> str:
+    """A stable, canonical identifier of a COUNT query's predicate: the
+    blake2b-128 hex digest of its packed membership row.
+
+    Two queries over the same schema get equal fingerprints iff they
+    accept the same code sets per attribute (an unconstrained attribute
+    differs from one listing every code).  The digest is stable across
+    processes, so fingerprints can be logged, compared, and used as HTTP
+    cache keys.
+
+    Examples
+    --------
+    >>> from repro.dataset.hospital import hospital_schema
+    >>> schema = hospital_schema()
+    >>> a = CountQuery(schema, {"Age": [0, 1]}, [2])
+    >>> b = CountQuery(schema, {"Age": [1, 0]}, [2])
+    >>> query_fingerprint(a) == query_fingerprint(b)
+    True
+    """
+    return hashlib.blake2b(np.packbits(query.row).tobytes(),
+                           digest_size=16).hexdigest()
 
 
 class CountQuery:
@@ -35,49 +138,33 @@ class CountQuery:
     sensitive_values:
         Accepted codes of the sensitive attribute (the paper's workload
         always constrains ``As``).
+
+    The query is held as :attr:`row` (see the module docstring); the
+    predicate views below are derived from it.
     """
 
-    __slots__ = ("schema", "qi_predicates", "sensitive_values",
-                 "_qi_code_arrays", "_sensitive_code_array")
+    __slots__ = ("schema", "row")
 
     def __init__(self, schema: Schema,
                  qi_predicates: Mapping[str, Iterable[int]],
                  sensitive_values: Iterable[int]) -> None:
         self.schema = schema
-        staged: dict[str, frozenset[int]] = {}
-        for name, codes in qi_predicates.items():
-            attr = schema.attribute(name)
-            if schema.is_sensitive(name):
-                raise QueryError(
-                    f"{name!r} is the sensitive attribute; pass its "
-                    f"predicate as sensitive_values")
-            codes = frozenset(int(c) for c in codes)
-            if not codes:
-                raise QueryError(f"empty predicate on {name!r}")
-            if any(c < 0 or c >= attr.size for c in codes):
-                raise QueryError(
-                    f"predicate on {name!r} has out-of-domain codes")
-            staged[name] = codes
-        # Canonical schema order: batch and per-query evaluation then
-        # combine per-attribute factors in the same sequence, which keeps
-        # their floating-point results bit-identical.
-        self.qi_predicates: dict[str, frozenset[int]] = {
-            attr.name: staged[attr.name]
-            for attr in schema.qi_attributes if attr.name in staged
-        }
-        sens = frozenset(int(c) for c in sensitive_values)
-        if not sens:
-            raise QueryError("empty sensitive predicate")
-        if any(c < 0 or c >= schema.sensitive.size for c in sens):
-            raise QueryError("sensitive predicate has out-of-domain codes")
-        self.sensitive_values = sens
-        self._qi_code_arrays = {
-            name: np.fromiter(sorted(codes), dtype=np.int64,
-                              count=len(codes))
-            for name, codes in self.qi_predicates.items()
-        }
-        self._sensitive_code_array = np.fromiter(
-            sorted(sens), dtype=np.int64, count=len(sens))
+        self.row: np.ndarray = _membership_rows(
+            schema, ((qi_predicates, sensitive_values),))[0]
+
+    @classmethod
+    def many(cls, schema: Schema, specs: Sequence[tuple[
+            Mapping[str, Iterable[int]], Iterable[int]]]
+             ) -> list["CountQuery"]:
+        """``[CountQuery(schema, *spec) for spec in specs]`` in one
+        vectorized pass (the rows are views of one matrix); raises iff
+        some spec alone would."""
+        queries = []
+        for row in _membership_rows(schema, specs):
+            query = cls.__new__(cls)
+            query.schema, query.row = schema, row
+            queries.append(query)
+        return queries
 
     @classmethod
     def from_ranges(cls, schema: Schema,
@@ -130,52 +217,61 @@ class CountQuery:
         sens_codes = [sens.encode(v) for v in sensitive_values]
         return cls(schema, predicates, sens_codes)
 
+    def qi_lookup_tables(self) -> dict[str, np.ndarray]:
+        """Boolean membership tables of the constrained QI attributes,
+        in schema order (views of :attr:`row`)."""
+        # ``1 in bytes`` is a membership test per attribute without a
+        # NumPy reduction's fixed cost (the per-query estimators call
+        # this once per query).
+        flags, lut = self.row.tobytes(), self.row.view(bool)
+        tables = {}
+        for attr in self.schema.qi_attributes:
+            columns = self.schema.domain_slices[attr.name]
+            if 1 in flags[columns]:
+                tables[attr.name] = lut[columns]
+        return tables
+
     @property
     def qd(self) -> int:
         """Query dimensionality: number of constrained QI attributes."""
-        return len(self.qi_predicates)
-
-    def qi_code_array(self, name: str) -> np.ndarray | None:
-        """Sorted int64 array of the accepted codes on a QI attribute, or
-        ``None`` when the attribute is unconstrained.  Cached at
-        construction; the batch engine encodes workloads from these."""
-        return self._qi_code_arrays.get(name)
+        return len(self.qi_lookup_tables())
 
     @property
-    def sensitive_code_array(self) -> np.ndarray:
-        """Sorted int64 array of the accepted sensitive codes."""
-        return self._sensitive_code_array
+    def qi_predicates(self) -> dict[str, frozenset[int]]:
+        """Constrained QI attribute -> accepted codes, in schema order."""
+        return {name: frozenset(np.flatnonzero(lut).tolist())
+                for name, lut in self.qi_lookup_tables().items()}
+
+    @property
+    def sensitive_values(self) -> frozenset[int]:
+        """Accepted codes of the sensitive attribute."""
+        return frozenset(np.flatnonzero(
+            self.lookup_table(self.schema.sensitive.name)).tolist())
 
     def lookup_table(self, name: str) -> np.ndarray:
         """Boolean membership table over the attribute's domain.
 
         ``lut[code]`` is true iff the code satisfies the predicate; enables
-        O(n) predicate evaluation via fancy indexing.
+        O(n) predicate evaluation via fancy indexing.  A read-only view
+        of :attr:`row`.
         """
-        attr = self.schema.attribute(name)
-        lut = np.zeros(attr.size, dtype=bool)
-        codes = (self._sensitive_code_array
-                 if self.schema.is_sensitive(name)
-                 else self._qi_code_arrays.get(name))
-        if codes is None:
+        self.schema.attribute(name)  # SchemaError on unknown names
+        lut = self.row[self.schema.domain_slices[name]].view(bool)
+        if not self.schema.is_sensitive(name) and not lut.any():
             raise QueryError(f"query does not constrain {name!r}")
-        lut[codes] = True
         return lut
 
     def describe(self) -> str:
         """Human-readable SQL-ish rendering, with decoded values."""
         parts = []
-        for name, codes in sorted(self.qi_predicates.items()):
+        for name, codes in (*sorted(self.qi_predicates.items()),
+                            (self.schema.sensitive.name,
+                             self.sensitive_values)):
             attr = self.schema.attribute(name)
             values = ", ".join(
                 repr(attr.decode(c)) for c in sorted(codes)[:4])
             suffix = ", ..." if len(codes) > 4 else ""
             parts.append(f"{name} IN ({values}{suffix})")
-        sens = self.schema.sensitive
-        values = ", ".join(
-            repr(sens.decode(c)) for c in sorted(self.sensitive_values)[:4])
-        suffix = ", ..." if len(self.sensitive_values) > 4 else ""
-        parts.append(f"{sens.name} IN ({values}{suffix})")
         return "SELECT COUNT(*) WHERE " + " AND ".join(parts)
 
     def __repr__(self) -> str:

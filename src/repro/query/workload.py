@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.dataset.schema import Schema
 from repro.exceptions import QueryError
-from repro.query.predicates import CountQuery
+from repro.query.predicates import CountQuery, query_fingerprint
 
 
 def predicate_width(domain_size: int, s: float, qd: int) -> int:
@@ -110,13 +110,8 @@ def expected_predicate_widths(schema: Schema, qd: int,
     return widths
 
 
-def workload_signature(queries: Sequence[CountQuery]) -> tuple[int, ...]:
-    """A cheap deterministic fingerprint of a workload (for tests that
-    assert reproducibility across runs)."""
-    sig: list[int] = []
-    for q in queries:
-        sig.append(len(q.sensitive_values))
-        for name in sorted(q.qi_predicates):
-            sig.append(hash((name, tuple(sorted(q.qi_predicates[name]))))
-                       & 0xFFFF)
-    return tuple(sig)
+def workload_signature(queries: Sequence[CountQuery]) -> tuple[str, ...]:
+    """A deterministic fingerprint of a workload (for tests that assert
+    reproducibility across runs and processes): the
+    :func:`~repro.query.predicates.query_fingerprint` of each query."""
+    return tuple(query_fingerprint(q) for q in queries)

@@ -1,48 +1,26 @@
 """Query-result cache: bounded LRU keyed by publication version.
 
 Cache keys are ``(publication, version, fingerprint)`` where the
-fingerprint canonically identifies a :class:`~repro.query.predicates.
-CountQuery` (same accepted code sets => same fingerprint, regardless of
-construction order).  Because the version is part of the key, ingesting
-new microdata — which bumps the publication version — invalidates every
-cached answer *by construction*: stale entries are never served, they
-simply age out of the LRU.
+fingerprint (:func:`~repro.query.predicates.query_fingerprint`,
+re-exported here) is a blake2b digest of the query's packed membership
+row, so equal accepted code sets give equal fingerprints regardless of
+construction order.  The row layout is fixed by the schema and a
+publication has one schema, so the publication name in the key keeps
+queries over different schemas apart.  Because the version is part of
+the key, ingesting new microdata — which bumps the publication version
+— invalidates every cached answer *by construction*: stale entries are
+never served, they simply age out of the LRU.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable
 
-from repro.query.predicates import CountQuery
+from repro.query.predicates import query_fingerprint
 
-
-def query_fingerprint(query: CountQuery) -> str:
-    """A stable, canonical identifier of a COUNT query's predicate.
-
-    Two queries over the same schema get equal fingerprints iff they
-    accept the same code sets per attribute.  The digest is stable
-    across processes, so fingerprints can be logged, compared, and used
-    as HTTP cache keys.
-
-    Examples
-    --------
-    >>> from repro.dataset.hospital import hospital_schema
-    >>> schema = hospital_schema()
-    >>> a = CountQuery(schema, {"Age": [0, 1]}, [2])
-    >>> b = CountQuery(schema, {"Age": [1, 0]}, [2])
-    >>> query_fingerprint(a) == query_fingerprint(b)
-    True
-    """
-    parts = []
-    for name, codes in sorted(query.qi_predicates.items()):
-        parts.append(f"{name}={','.join(map(str, sorted(codes)))}")
-    parts.append(
-        f"@sens={','.join(map(str, sorted(query.sensitive_values)))}")
-    payload = ";".join(parts).encode("ascii")
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+__all__ = ["LRUCache", "query_fingerprint"]
 
 
 class LRUCache:

@@ -348,19 +348,24 @@ def _publication_payload(service: ReproService, name: str,
     return payload
 
 
-def _parse_query(schema, spec: dict) -> CountQuery:
-    if not isinstance(spec, dict):
-        raise _HTTPError(400, f"query spec must be an object, got "
-                              f"{spec!r}")
-    qi = spec.get("qi", {})
-    sensitive = spec.get("sensitive")
-    if sensitive is None:
-        raise _HTTPError(400, "query spec needs 'sensitive' codes")
-    if spec.get("decoded"):
-        qi = {name: [schema.attribute(name).encode(v) for v in values]
-              for name, values in qi.items()}
-        sensitive = [schema.sensitive.encode(v) for v in sensitive]
-    return CountQuery(schema, qi, sensitive)
+def _parse_queries(schema, specs: list) -> list[CountQuery]:
+    """One request's query specs, parsed by one ``CountQuery.many``."""
+    pairs = []
+    for spec in specs:
+        if not isinstance(spec, dict):
+            raise _HTTPError(400, f"query spec must be an object, got "
+                                  f"{spec!r}")
+        qi, sensitive = spec.get("qi", {}), spec.get("sensitive")
+        if spec.get("decoded"):
+            try:
+                qi = {name: schema.attribute(name).encode_many(values)
+                      for name, values in qi.items()}
+                sensitive = schema.sensitive.encode_many(sensitive)
+            except (AttributeError, TypeError):
+                raise _HTTPError(400, f"malformed decoded query spec "
+                                      f"{spec!r}") from None
+        pairs.append((qi, sensitive))
+    return CountQuery.many(schema, pairs)
 
 
 class ReproRequestHandler(BaseHTTPRequestHandler):
@@ -590,14 +595,14 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             if not isinstance(specs, list) or not specs:
                 raise _HTTPError(400, "'queries' must be a non-empty "
                                       "list of query specs")
-            queries = [_parse_query(schema, s) for s in specs]
+            queries = _parse_queries(schema, specs)
             answers = service.frontend.query_batch(name, queries)
             return 200, {
                 "publication": name,
                 "answers": [a.to_json() for a in answers],
             }
-        answer = service.frontend.query(name,
-                                        _parse_query(schema, body))
+        answer = service.frontend.query(
+            name, _parse_queries(schema, [body])[0])
         payload = answer.to_json()
         payload["publication"] = name
         return 200, payload

@@ -87,35 +87,48 @@ class TestThreadSafety:
     def test_concurrent_recording_loses_no_entries(self):
         """Regression test: the serving stack finishes spans from many
         handler threads against one shared tracer; an unguarded
-        read-modify-write of an aggregate would lose counts."""
-        import sys
+        read-modify-write of an aggregate would lose counts.
+
+        The aggregate map is swapped for one whose reads wait (up to
+        1 s) until every thread has read.  Without the lock the threads
+        then fold each new name from the same missing aggregate and
+        counts are lost; with it no thread can read until the previous
+        one has written, so the first wait times out, breaks the
+        barrier, and later reads pass straight through."""
         import threading
 
         tracer = tracing.Tracer(max_spans=0)
-        threads_n, per_thread = 8, 500
+        threads_n, rounds = 4, 20
+        meet = threading.Barrier(threads_n, timeout=1.0)
 
-        def hammer(i):
-            for _ in range(per_thread):
-                tracer.record(f"thread-{i}", 0.001)
-                with tracer.span("shared"):
+        class InterleavingDict(dict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                try:
+                    meet.wait()
+                except threading.BrokenBarrierError:
+                    pass
+                return value
+
+        tracer._aggregates = InterleavingDict()
+
+        def hammer():
+            for k in range(rounds):
+                tracer.record(f"recorded-{k}", 0.001)
+                with tracer.span(f"span-{k}"):
                     pass
 
-        threads = [threading.Thread(target=hammer, args=(i,))
-                   for i in range(threads_n)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=hammer)
+                   for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
         totals = tracer.totals()
-        assert totals["shared"]["count"] == threads_n * per_thread
-        for i in range(threads_n):
-            assert totals[f"thread-{i}"]["count"] == per_thread
+        for k in range(rounds):
+            assert totals[f"recorded-{k}"]["count"] == threads_n
+            assert totals[f"span-{k}"]["count"] == threads_n
 
     def test_summary_is_consistent_while_recording(self, tmp_path):
         """totals() and the summary writer may run concurrently with

@@ -1,7 +1,13 @@
 """Unit tests for workload generation (Equation 14)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.dataset.census import census_schema
 from repro.exceptions import QueryError
 from repro.query.workload import (
@@ -78,6 +84,27 @@ class TestWorkloadGenerator:
         a = make_workload(schema, 2, 0.05, 10, seed=5)
         b = make_workload(schema, 2, 0.05, 10, seed=5)
         assert workload_signature(a) == workload_signature(b)
+
+    def test_signature_survives_string_hash_randomization(self):
+        """The signature is the same in processes whose built-in string
+        hashes differ (``PYTHONHASHSEED``)."""
+        script = ("from repro.dataset.census import census_schema\n"
+                  "from repro.query.workload import make_workload, "
+                  "workload_signature\n"
+                  "print(workload_signature(make_workload("
+                  "census_schema(3, 'Occupation'), 2, 0.05, 10, seed=5)))")
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=source_root)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert outputs[0] == outputs[1]
+        schema = census_schema(3, "Occupation")
+        assert outputs[0].strip() == str(workload_signature(
+            make_workload(schema, 2, 0.05, 10, seed=5)))
 
     def test_seeds_differ(self):
         schema = census_schema(3, "Occupation")

@@ -141,6 +141,44 @@ class TestContentLength:
         assert "exceeds" in body["error"]
 
 
+#: Query specs that must be answered 400: before the one-pass query
+#: builder these either crashed the handler (500) or were silently read
+#: as code 1.
+MALFORMED_SPECS = {
+    "qi-not-object": {"qi": [1], "sensitive": [0]},
+    "codes-not-list": {"qi": {"A": 5}, "sensitive": [0]},
+    "string-code": {"qi": {"A": ["x"]}, "sensitive": [0]},
+    "null-code": {"qi": {"A": [None]}, "sensitive": [0]},
+    "nested-code": {"qi": {"A": [[1]]}, "sensitive": [0]},
+    "sensitive-not-list": {"qi": {"A": [1]}, "sensitive": 3},
+    "missing-sensitive": {"qi": {"A": [1]}},
+    "float-code": {"qi": {"A": [1.7]}, "sensitive": [0]},
+    "bool-code": {"qi": {"A": [True]}, "sensitive": [0]},
+    "numeric-string-code": {"qi": {"A": ["1"]}, "sensitive": [0]},
+    "decoded-qi-not-object": {"qi": [1], "sensitive": [0],
+                              "decoded": True},
+    "decoded-nested-value": {"qi": {"A": [[1]]}, "sensitive": [0],
+                             "decoded": True},
+}
+
+
+class TestMalformedQuerySpecs:
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["single", "batch"])
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(),
+                             ids=MALFORMED_SPECS.keys())
+    def test_answered_with_400(self, server, api, spec, batched):
+        create_publication(api)
+        body = json.dumps({"queries": [QUERY, spec]} if batched
+                          else spec).encode()
+        head, reply = raw_exchange(server, (
+            f"POST /publications/p/query HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Type: application/json\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body)
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert reply["error"]
+
+
 class TestEndToEnd:
     def test_two_wave_ingest_with_cache_invalidation(self, api):
         create_publication(api)
