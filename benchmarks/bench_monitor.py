@@ -4,12 +4,16 @@ Runs the same uncached ``service.query.batch`` workload as
 bench_service, but with the full opt-in observability trio installed: a
 background :class:`~repro.obs.monitor.CanaryMonitor` re-measuring
 utility in a tight loop, a live metrics registry, and the SLO engine
-evaluating per round.  The headline assertion is the PR's acceptance
-bound: monitored serving stays within 2x of a plain run measured in the
-same process.  The ``bench.*`` records land in ``BENCH_summary.json``
-and are gated by ``python -m repro.perf.check`` like every other bench.
+evaluating per round.  The headline assertion: monitored serving stays
+within 2x of plain serving, measured as the ratio of the two medians over
+rounds interleaved in one run (so host drift hits both sides alike).
+That ratio is recorded as ``bench.service_query_monitor_overhead`` (a
+dimensionless factor in the span's seconds field).  The ``bench.*``
+records land in ``BENCH_summary.json`` and are gated by
+``python -m repro.perf.check`` like every other bench.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -28,6 +32,8 @@ from repro.service.registry import PublicationRegistry
 N_QUERIES = 1000
 #: The 2x acceptance bound from the PR issue.
 OVERHEAD_BOUND = 2.0
+#: Interleaved plain/monitored round pairs behind the overhead ratio.
+OVERHEAD_ROUNDS = 7
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +58,10 @@ def served(table, bench_config):
     frontend.close()
 
 
-def _mean_seconds(fn, rounds=5):
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return sum(times) / len(times)
+def _seconds(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def test_monitor_canary_run_once(benchmark, served):
@@ -74,34 +77,46 @@ def test_monitor_canary_run_once(benchmark, served):
 def test_monitor_query_batch_overhead(benchmark, served, workload):
     """Monitor-enabled serving within the 2x bound of a plain run.
 
-    The plain mean is measured in the same process right before the
-    benchmark so the comparison is apples-to-apples on this machine.
+    Plain and monitored rounds alternate in one run, the monitor started
+    for each monitored round only; the overhead is the ratio of their
+    medians, so it compares like with like on this machine.
     """
     registry, publication, frontend = served
-    plain_mean = _mean_seconds(
-        lambda: frontend.query_batch("bench", workload))
-
     metrics_registry = MetricsRegistry()
     monitor = CanaryMonitor(
         registry, metrics=metrics_registry,
         config=CanaryConfig(count=32, seed=11, interval_s=0.01))
     engine = HealthEngine(metrics_registry,
                           SLOConfig(utility_error_failing=10.0))
+
+    def plain():
+        return frontend.query_batch("bench", workload)
+
+    def monitored():
+        answers = frontend.query_batch("bench", workload)
+        engine.evaluate()
+        return answers
+
     previous = metrics.set_registry(metrics_registry)
     try:
         with monitor:
-
-            def monitored():
-                answers = frontend.query_batch("bench", workload)
-                engine.evaluate()
-                return answers
-
             answers = benchmark(monitored)
     finally:
         metrics.set_registry(previous)
     record("bench.service_query_monitored", benchmark.stats.stats.mean)
-    record("bench.service_query_monitor_overhead",
-           benchmark.stats.stats.mean - plain_mean)
+
+    plain_times, monitored_times = [], []
+    for _ in range(OVERHEAD_ROUNDS):
+        plain_times.append(_seconds(plain))
+        previous = metrics.set_registry(metrics_registry)
+        try:
+            with monitor:
+                monitored_times.append(_seconds(monitored))
+        finally:
+            metrics.set_registry(previous)
+    ratio = statistics.median(monitored_times) / \
+        statistics.median(plain_times)
+    record("bench.service_query_monitor_overhead", ratio)
 
     expected = publication.snapshot().estimator.estimate_workload(
         workload)
@@ -109,7 +124,6 @@ def test_monitor_query_batch_overhead(benchmark, served, workload):
                           expected)
     # the canary actually ran while we were serving
     assert monitor.last_report("bench") is not None
-    ratio = benchmark.stats.stats.mean / plain_mean
     assert ratio <= OVERHEAD_BOUND, (
         f"monitored serving {ratio:.2f}x plain exceeds the "
         f"{OVERHEAD_BOUND}x bound")

@@ -19,7 +19,14 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from typing import Any
 
+import numpy as np
+
 from repro.exceptions import SchemaError
+
+#: Types that hash like an integer (``True == 1 == 1.0``) but are not one:
+#: such a value matches a domain value only of its own kind.
+_BOOLS = (bool, np.bool_)
+_FLOATS = (float, np.floating)
 
 
 class AttributeKind(Enum):
@@ -93,14 +100,29 @@ class Attribute:
         Raises
         ------
         SchemaError
-            If ``value`` is not in the domain.
+            If ``value`` is not in the domain.  A ``bool`` or ``float``
+            that only hash-matches a domain value of another type
+            (``True == 1 == 1.0``) is not in the domain.
         """
-        try:
-            return self._index[value]
-        except KeyError:
+        code = self._lookup(value)
+        if code is None:
             raise SchemaError(
                 f"value {value!r} not in domain of attribute {self.name!r}"
-            ) from None
+            )
+        return code
+
+    def _lookup(self, value: Any) -> int | None:
+        """The code of ``value``, or None when it is not in the domain."""
+        try:
+            code = self._index[value]
+        except (KeyError, TypeError):
+            return None
+        if isinstance(value, _BOOLS + _FLOATS):
+            stored = self._values[code]
+            if isinstance(stored, _BOOLS) != isinstance(value, _BOOLS) or \
+                    isinstance(stored, _FLOATS) != isinstance(value, _FLOATS):
+                return None
+        return code
 
     def decode(self, code: int) -> Any:
         """Map an integer code back to its domain value."""
@@ -121,7 +143,7 @@ class Attribute:
         return [self.decode(c) for c in codes]
 
     def __contains__(self, value: Any) -> bool:
-        return value in self._index
+        return self._lookup(value) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Attribute):

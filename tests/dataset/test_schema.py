@@ -1,5 +1,6 @@
 """Unit tests for attributes and schemas."""
 
+import numpy as np
 import pytest
 
 from repro.dataset.schema import Attribute, AttributeKind, Schema
@@ -40,6 +41,30 @@ class TestAttribute:
         attr = Attribute("A", ["x", "y"])
         assert "x" in attr
         assert "z" not in attr
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0,
+                                       np.bool_(True), np.float64(1.0),
+                                       np.float32(1.0)],
+                             ids=repr)
+    def test_bool_and_float_do_not_match_integer_values(self, value):
+        # True == 1 == 1.0 hash alike, but are not the domain value 1
+        attr = Attribute("A", range(50))
+        with pytest.raises(SchemaError, match="not in domain"):
+            attr.encode(value)
+        assert value not in attr
+
+    def test_values_of_the_domains_own_type_still_match(self):
+        assert Attribute("A", range(50)).encode(np.int64(3)) == 3
+        assert Attribute("A", [0.5, 1.0]).encode(1.0) == 1
+        assert Attribute("A", [0.5, 1.0]).encode(np.float64(0.5)) == 0
+        assert Attribute("A", [False, True]).encode(True) == 1
+        assert Attribute("A", [False, True]).encode(np.bool_(False)) == 0
+
+    def test_unhashable_value_not_in_domain(self):
+        attr = Attribute("A", range(5))
+        with pytest.raises(SchemaError, match="not in domain"):
+            attr.encode([1])
+        assert [1] not in attr
 
     def test_encode_many_decode_many(self):
         attr = Attribute("A", ["x", "y", "z"])

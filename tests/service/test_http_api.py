@@ -9,6 +9,7 @@ served micro-batch of >= 100 queries goes through the batch engine
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -20,7 +21,12 @@ import pytest
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.monitor import GAUGE_RELATIVE_ERROR, CanaryConfig
 from repro.obs.slo import SLOConfig
-from repro.service.http import MAX_BODY_BYTES, ReproService, make_server
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    ReproRequestHandler,
+    ReproService,
+    make_server,
+)
 
 from tests.service.conftest import make_rows
 
@@ -141,6 +147,104 @@ class TestContentLength:
         assert "exceeds" in body["error"]
 
 
+class _RecordingWriter:
+    """Wraps a handler's ``wfile``, recording every ``write``."""
+
+    def __init__(self, raw, writes: list) -> None:
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(bytes(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+class _RecordingHandler(ReproRequestHandler):
+    writes: list
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _RecordingWriter(self.wfile, self.writes)
+
+
+@pytest.fixture()
+def writes(server):
+    """Every ``wfile.write`` the server's handlers make, in order."""
+    recorded: list[bytes] = []
+    server.RequestHandlerClass = type(
+        "Recording", (_RecordingHandler,), {"writes": recorded})
+    return recorded
+
+
+class TestOneWritePerResponse:
+    """Status line, headers and body leave in one ``wfile.write``: a
+    separate headers write lets Nagle hold the body back until the
+    client's delayed ACK (~40 ms per keep-alive response)."""
+
+    @staticmethod
+    def exchange(server, request: bytes) -> bytes:
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        return reply
+
+    @pytest.mark.parametrize("path, status, content_type", [
+        ("/healthz", b"200", b"application/json"),
+        ("/metrics", b"200", b"text/plain; version=0.0.4"),
+        ("/nope", b"404", b"application/json"),
+    ], ids=["json", "prometheus", "http-error"])
+    def test_response_is_one_write(self, server, writes, path, status,
+                                   content_type):
+        reply = self.exchange(server, (
+            f"GET {path} HTTP/1.1\r\nHost: x\r\n"
+            f"Connection: close\r\n\r\n").encode())
+        assert writes == [reply]
+        assert reply.startswith(b"HTTP/1.1 " + status + b" ")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"\r\nContent-Type: " + content_type in head
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert body
+
+    def test_keep_alive_responses_are_one_write_each(self, server,
+                                                     writes):
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            for path in ("/healthz", "/metrics", "/stats"):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 200
+                assert writes[-1].endswith(body)
+            assert len(writes) == 3
+        finally:
+            connection.close()
+
+    def test_http09_request_gets_the_bare_body(self, server, writes):
+        reply = self.exchange(server, b"GET /healthz\r\n\r\n")
+        assert writes == [reply]
+        assert json.loads(reply)["status"] == "ok"
+
+    def test_oversized_body_is_one_write_then_closed(self, server,
+                                                     writes):
+        # no "Connection: close" from the client: the server hangs up
+        # by itself, or exchange() times out
+        reply = self.exchange(server, (
+            f"POST /publications HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n").encode())
+        assert writes == [reply]
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close" in head
+        assert "exceeds" in json.loads(body)["error"]
+
+
 #: Query specs that must be answered 400: before the one-pass query
 #: builder these either crashed the handler (500) or were silently read
 #: as code 1.
@@ -177,6 +281,34 @@ class TestMalformedQuerySpecs:
             f"Content-Length: {len(body)}\r\n\r\n").encode() + body)
         assert head.startswith(b"HTTP/1.1 400 "), head
         assert reply["error"]
+
+
+class TestDecodedValueTypes:
+    """On an integer domain, JSON ``true`` and ``1.0`` are not the value
+    1, in decoded query specs and in decoded ingest rows alike."""
+
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+    @pytest.mark.parametrize("where", ["qi", "sensitive"])
+    def test_decoded_query_rejected(self, api, value, where):
+        create_publication(api)
+        spec = {"qi": {"A": [0]}, "sensitive": [0], "decoded": True}
+        spec[where] = {"A": [value]} if where == "qi" else [value]
+        status, payload = api("POST", "/publications/p/query", spec)
+        assert status == 400 and "not in domain" in payload["error"]
+        status, payload = api("POST", "/publications/p/query",
+                              {"queries": [spec]})
+        assert status == 400 and "not in domain" in payload["error"]
+
+    @pytest.mark.parametrize("row", [[True, 0], [1.0, 0], [0, True],
+                                     [0, 1.0]],
+                             ids=["qi-true", "qi-1.0", "sensitive-true",
+                                  "sensitive-1.0"])
+    def test_decoded_ingest_rejected(self, api, row):
+        create_publication(api)
+        status, payload = api("POST", "/publications/p/ingest",
+                              {"rows": [row], "decoded": True})
+        assert status == 400 and "not in domain" in payload["error"]
+        assert api("GET", "/publications/p")[1]["buffered"] == 0
 
 
 class TestEndToEnd:
