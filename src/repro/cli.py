@@ -223,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batch-engine mode for served queries")
     p.add_argument("--cache-size", type=int, default=4096,
                    help="result-cache capacity in entries (0 disables)")
-    p.add_argument("--batch-window-ms", type=float, default=1.0,
-                   help="micro-batch coalescing window (default 1 ms)")
+    p.add_argument("--batch-window-ms", type=float, default=0.0,
+                   help="micro-batch coalescing window (default 0: an "
+                        "idle server answers a single query at once, "
+                        "and queries arriving meanwhile are batched)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request")
     p.add_argument("--trace", action="store_true",

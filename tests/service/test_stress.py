@@ -12,6 +12,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -133,3 +134,63 @@ def test_writers_not_starved_by_readers(schema):
             thread.join(timeout=10)
         frontend.close()
     assert publication.version > 2
+
+
+def test_unwindowed_queries_evaluated_once_each(schema):
+    """With no window, callers evaluate on their own threads and hand
+    the rest to the worker: under a tiny switch interval every query is
+    answered exactly, evaluated exactly once, and the frontend ends
+    idle (no query left pending, no evaluator still counted)."""
+    registry = PublicationRegistry()
+    publication = registry.create("p", schema, l=L)
+    publication.ingest([(i % 50, i % 20) for i in range(200)])
+    frontend = QueryFrontend(registry, batch_window_s=0.0)
+    n_threads, per_thread = 8, 30
+    pools = [[CountQuery(schema, {"A": [(t * 7 + i) % 50,
+                                        (t * 3 + i * 11) % 50]},
+                         [(t + i) % 20, (t * 5 + i) % 20, 19 - t])
+              for i in range(per_thread)]
+             for t in range(n_threads)]
+    evaluated: list[int] = []
+    evaluate = frontend._evaluate
+
+    def counting(snapshot, queries):
+        evaluated.append(len(queries))
+        return evaluate(snapshot, queries)
+
+    frontend._evaluate = counting
+    answers: dict[tuple[int, int], float] = {}
+    errors: list[BaseException] = []
+    start = threading.Barrier(n_threads)
+
+    def caller(t: int) -> None:
+        try:
+            start.wait()
+            for i, query in enumerate(pools[t]):
+                answers[(t, i)] = frontend.query("p", query,
+                                                 timeout=60).answer
+        except BaseException as exc:  # noqa: BLE001 - report below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(t,),
+                                    daemon=True)
+                   for t in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "caller thread deadlocked"
+    finally:
+        sys.setswitchinterval(interval)
+    frontend.close()
+    assert not errors, errors
+    distinct = {query.row.tobytes() for pool in pools for query in pool}
+    assert sum(evaluated) == len(distinct)
+    assert frontend._evaluating == 0 and frontend._pending == []
+    estimator = publication.snapshot().estimator
+    for t, pool in enumerate(pools):
+        for i, query in enumerate(pool):
+            assert answers[(t, i)] == estimator.estimate(query)
