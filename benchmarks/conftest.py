@@ -10,8 +10,20 @@ pytest-benchmark ``extra_info``.  Pass a larger config by editing
 from __future__ import annotations
 
 import os
+import sys
+import warnings
 
-import pytest
+# OpenBLAS reads its thread count once, when numpy is first imported.
+# With its default two threads, about one process in five on a 2-vCPU
+# host stays in a mode where every small dgemm takes ~8 ms instead of
+# ~0.5 ms, which the perf gate read as 7-8x ``bench.batch_anatomy``
+# regressions.  So the whole benchmark session uses one thread.
+if "numpy" in sys.modules:
+    warnings.warn("numpy was imported before benchmarks/conftest.py; "
+                  "OPENBLAS_NUM_THREADS=1 has no effect on this session")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 from repro.dataset.census import CensusDataset
 from repro.experiments.config import (

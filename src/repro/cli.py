@@ -125,7 +125,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             count=args.monitor_queries)
     slo = load_slo_config(args.slo_config) if args.slo_config else None
     service = ReproService(mode=args.mode, cache_size=args.cache_size,
-                           batch_window_s=args.batch_window_ms / 1000.0,
                            trace=args.trace, log_json=args.log_json,
                            monitor=args.monitor,
                            monitor_config=monitor_config,
@@ -137,7 +136,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port}", flush=True)
     print(f"  mode={args.mode} cache_size={args.cache_size} "
-          f"batch_window={args.batch_window_ms:g} ms "
           f"trace={'on' if args.trace else 'off'} "
           f"log_json={'on' if args.log_json else 'off'} "
           f"monitor={'on' if args.monitor else 'off'} "
@@ -223,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batch-engine mode for served queries")
     p.add_argument("--cache-size", type=int, default=4096,
                    help="result-cache capacity in entries (0 disables)")
-    p.add_argument("--batch-window-ms", type=float, default=0.0,
-                   help="micro-batch coalescing window (default 0: an "
-                        "idle server answers a single query at once, "
-                        "and queries arriving meanwhile are batched)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request")
     p.add_argument("--trace", action="store_true",

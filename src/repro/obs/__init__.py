@@ -4,7 +4,7 @@ Four cooperating pieces, all stdlib-or-numpy only:
 
 * :mod:`repro.obs.tracing` — hierarchical spans with trace/span IDs and
   parent links, context-propagated with :mod:`contextvars` (including
-  across the query frontend's micro-batch worker threads).  The
+  to whichever caller's thread evaluates a coalesced batch).  The
   :class:`~repro.obs.tracing.Tracer` is the one span sink: it folds
   every span into the per-name aggregates the perf gate and
   ``/metrics`` read, and optionally keeps the span records.

@@ -8,8 +8,8 @@ A :class:`Tracer` is the repository's one span sink.  Every finished
 *current* span is tracked in a :mod:`contextvars` context variable, so
 nesting is automatic within a thread (or task) and explicit across
 threads via :func:`capture_context` / :func:`attach_context` — the
-query frontend uses that pair to parent the batch-engine span executed
-on its worker thread to the submitting request's trace.
+query frontend uses that pair to parent the batch-engine span, which
+may run on another caller's thread, to the submitting request's trace.
 
 The module-level hooks are no-ops until a tracer is installed::
 

@@ -1,27 +1,27 @@
-"""Micro-batched, cached COUNT-query serving.
+"""Combined, cached COUNT-query serving.
 
-Single queries arriving concurrently are coalesced: ``submit`` captures
-the target publication's snapshot, checks the LRU result cache, and on
-a miss parks the query on a pending list that a background worker
-drains in micro-batches.  Each batch is grouped by ``(publication,
-version)`` and evaluated through the vectorized batch engine
+Single queries arriving concurrently are coalesced by combining:
+``query`` captures the target publication's snapshot and checks the
+LRU result cache, and a miss joins a pending pile.  The caller that
+finds no batch being evaluated takes the whole pile and evaluates it on
+its own thread; callers that arrive meanwhile wait, and when that batch
+ends one of them takes whatever piled up behind it.  The frontend runs
+no thread of its own, and the pile holds at most one query per blocked
+caller.  An idle server therefore answers a miss on the calling thread,
+without a thread hand-off or a timer wake-up.
+
+Each pile is grouped by ``(publication, version)`` and evaluated
+through the vectorized batch engine
 (:meth:`repro.query.batch.BatchEvaluator.estimate_workload`) in one
 pass — under load the per-query cost collapses to the batch engine's
-amortized cost, exactly the regime PR 1 optimized.
-
-The synchronous ``query`` path skips the worker when it can: with no
-coalescing window (the default) a miss that finds no batch being
-evaluated is evaluated on the calling thread, together with whatever
-else is pending.  An idle server then answers without a thread
-hand-off or a timer wake-up, whose cost varies with how busy the host
-is; queries arriving while a batch runs still pile up for the worker.
+amortized cost.
 
 ``query_batch`` is the synchronous bulk path: an explicit workload
-(e.g. one HTTP request carrying many queries) skips the coalescing
-window and goes straight through the batch engine, still consulting
-and filling the cache per query.
+(e.g. one HTTP request carrying many queries) skips the pile and goes
+straight through the batch engine, still consulting and filling the
+cache per query.
 
-Consistency model: the snapshot is captured at submission time, so
+Consistency model: the snapshot is captured when the query arrives, so
 every answer is exact for one published version, reported alongside
 the answer.  Cache keys include the version
 (:mod:`repro.service.cache`), so ingestion invalidates cached answers
@@ -31,9 +31,7 @@ by construction.
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Sequence
-from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 
 from repro.exceptions import QueryError, ServiceError
 from repro.obs import metrics, tracing
@@ -70,19 +68,27 @@ class QueryAnswer:
 
 
 class _Pending:
-    __slots__ = ("snapshot", "query", "fingerprint", "future",
-                 "context")
+    """One cache miss in the pile; once its batch has run, it holds the
+    answer or the exception that batch raised."""
+
+    __slots__ = ("snapshot", "query", "fingerprint", "context",
+                 "answer", "error")
 
     def __init__(self, snapshot: PublicationSnapshot, query: CountQuery,
-                 fingerprint: str, future: Future,
+                 fingerprint: str,
                  context: tracing.ContextSnapshot | None = None) -> None:
         self.snapshot = snapshot
         self.query = query
         self.fingerprint = fingerprint
-        self.future = future
-        #: The submitter's trace context, so batch-engine spans executed
-        #: on the worker thread stay parented to the submitting request.
+        #: The caller's trace context, so batch-engine spans executed on
+        #: another caller's thread stay parented to the asking request.
         self.context = context
+        self.answer: QueryAnswer | None = None
+        self.error: BaseException | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.answer is not None or self.error is not None
 
 
 class QueryFrontend:
@@ -94,13 +100,6 @@ class QueryFrontend:
         The publication registry to serve from.
     cache_size:
         LRU result-cache capacity in entries (0 disables caching).
-    batch_window_s:
-        How long the worker waits after the first pending query before
-        draining, to let concurrent submitters coalesce into one batch.
-        With a window, ``query`` always waits for the worker; with none
-        it may evaluate on the calling thread.
-    max_batch:
-        Upper bound on queries drained per micro-batch.
     mode:
         Batch-engine mode: ``"exact"`` (default, bit-identical to the
         per-query estimators) or ``"fast"``.
@@ -108,52 +107,73 @@ class QueryFrontend:
 
     def __init__(self, registry: PublicationRegistry, *,
                  cache_size: int = 4096,
-                 batch_window_s: float = 0.0,
-                 max_batch: int = 1024,
                  mode: str = "exact") -> None:
         if mode not in ("exact", "fast"):
             raise QueryError(
                 f"unknown serving mode {mode!r}; expected 'exact' or "
                 f"'fast'")
-        if max_batch < 1:
-            raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
         self.registry = registry
         self.mode = mode
         self.cache = LRUCache(cache_size)
-        self.batch_window_s = float(batch_window_s)
-        self.max_batch = int(max_batch)
         self._cond = threading.Condition()
         self._pending: list[_Pending] = []
-        #: Threads (worker or callers) evaluating a drained batch.
-        self._evaluating = 0
-        self._worker: threading.Thread | None = None
+        #: Whether some caller is evaluating a pile it took.
+        self._evaluating = False
         self._closed = False
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
 
-    def submit(self, publication: str, query: CountQuery) -> Future:
-        """Enqueue one query; the future resolves to a
-        :class:`QueryAnswer`.  Cache hits resolve immediately."""
-        return self._submit(publication, query, inline=False)[0]
-
     def query(self, publication: str, query: CountQuery, *,
               timeout: float | None = 30.0) -> QueryAnswer:
-        """Synchronous single-query path (submit + wait).  With no
-        coalescing window, a miss that finds no batch being evaluated
-        is evaluated on the calling thread.  A query still pending for
-        the worker when ``timeout`` expires is cancelled, so the worker
-        never evaluates it."""
-        future, batch = self._submit(publication, query,
-                                     inline=self.batch_window_s <= 0)
+        """Answer one query.  A miss joins the pile; the caller then
+        waits until its query is answered or no batch is being
+        evaluated, and in the second case evaluates the whole pile
+        itself.  A query still in the pile when ``timeout`` expires is
+        removed from it, so it is never evaluated."""
+        pub = self.registry.get(publication)
+        snapshot = pub.snapshot()
+        self._check_schema(pub.schema, query)
+        fingerprint = query_fingerprint(query)
+        cached = self.cache.get((publication, snapshot.version,
+                                 fingerprint))
+        if cached is not None:
+            return QueryAnswer(cached, snapshot.version, True,
+                               fingerprint)
+        item = _Pending(snapshot, query, fingerprint,
+                        tracing.capture_context())
+        with self._cond:
+            if self._closed:
+                raise ServiceError("frontend is closed")
+            self._pending.append(item)
+            if not self._cond.wait_for(
+                    lambda: item.done or not self._evaluating, timeout):
+                if item in self._pending:  # nobody took it
+                    self._pending.remove(item)
+                raise TimeoutError(
+                    f"query not answered within {timeout} s")
+            batch: list[_Pending] = []
+            if not item.done:  # still in the pile: take all of it
+                batch, self._pending = self._pending, []
+                self._evaluating = True
         if batch:
-            self._run_taken(batch)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            raise
+            try:
+                self._run_batch(batch)
+            except BaseException as exc:
+                # Interrupted between groups: fail what is left, or those
+                # callers would wait for a pile that no longer holds them.
+                for other in batch:
+                    if not other.done:
+                        other.error = exc
+                raise
+            finally:
+                with self._cond:
+                    self._evaluating = False
+                    self._cond.notify_all()
+        if item.error is not None:
+            raise item.error
+        return item.answer  # type: ignore[return-value]
 
     def query_batch(self, publication: str,
                     queries: Sequence[CountQuery]) -> list[QueryAnswer]:
@@ -199,14 +219,11 @@ class QueryFrontend:
         return self.cache.count_keys(
             lambda key: key[0] == publication)
 
-    def close(self, timeout: float | None = 5.0) -> None:
-        """Stop the worker after draining already-pending queries."""
+    def close(self) -> None:
+        """Refuse further queries; queries already waiting are still
+        answered."""
         with self._cond:
             self._closed = True
-            self._cond.notify_all()
-            worker = self._worker
-        if worker is not None:
-            worker.join(timeout=timeout)
 
     def __enter__(self) -> "QueryFrontend":
         return self
@@ -238,103 +255,29 @@ class QueryFrontend:
                 queries, mode=self.mode)
         return [float(v) for v in values]
 
-    def _submit(self, publication: str, query: CountQuery, *,
-                inline: bool) -> tuple[Future, list[_Pending]]:
-        """Check the cache and enqueue a miss.  With ``inline`` and no
-        batch being evaluated, the pending batch (this query included)
-        is handed back for the caller to run with :meth:`_run_taken`;
-        otherwise the worker is woken and the batch is empty."""
-        pub = self.registry.get(publication)
-        snapshot = pub.snapshot()
-        self._check_schema(pub.schema, query)
-        fingerprint = query_fingerprint(query)
-        future: Future = Future()
-        cached = self.cache.get((publication, snapshot.version,
-                                 fingerprint))
-        if cached is not None:
-            future.set_result(QueryAnswer(cached, snapshot.version,
-                                          True, fingerprint))
-            return future, []
-        with self._cond:
-            if self._closed:
-                raise ServiceError("frontend is closed")
-            self._pending.append(_Pending(snapshot, query, fingerprint,
-                                          future,
-                                          tracing.capture_context()))
-            if inline and not self._evaluating:
-                return future, self._take()
-            self._wake_worker()
-        return future, []
-
-    def _wake_worker(self) -> None:
-        """Start the worker on first use and wake it (holding
-        ``_cond``)."""
-        if self._worker is None:
-            self._worker = threading.Thread(
-                target=self._worker_loop,
-                name="repro-query-frontend", daemon=True)
-            self._worker.start()
-        self._cond.notify()
-
-    def _take(self) -> list[_Pending]:
-        """Drain up to ``max_batch`` pending queries (holding ``_cond``);
-        the taker must run them with :meth:`_run_taken`."""
-        batch = self._pending[:self.max_batch]
-        del self._pending[:self.max_batch]
-        if batch:
-            self._evaluating += 1
-        return batch
-
-    def _run_taken(self, batch: list[_Pending]) -> None:
-        """Run a batch from :meth:`_take`, then hand whatever piled up
-        meanwhile to the worker."""
-        try:
-            self._run_batch(batch)
-        finally:
-            with self._cond:
-                self._evaluating -= 1
-                if self._pending:
-                    self._wake_worker()
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._pending and not self._closed:
-                    self._cond.wait()
-                if not self._pending and self._closed:
-                    return
-            # Let concurrent submitters pile into this micro-batch.
-            if self.batch_window_s > 0:
-                time.sleep(self.batch_window_s)
-            with self._cond:
-                batch = self._take()
-            if batch:  # a caller may have drained it meanwhile
-                self._run_taken(batch)
-
     def _run_batch(self, batch: list[_Pending]) -> None:
+        """Evaluate a pile taken by :meth:`query`, leaving an answer or
+        an exception on every item."""
         if metrics.enabled():
             metrics.observe("repro_service_coalesce_batch_size",
                             len(batch), buckets=DEFAULT_SIZE_BUCKETS)
         groups: dict[tuple[str, int], list[_Pending]] = {}
         for item in batch:
-            # Claims the future, or drops it if its waiter cancelled.
-            if not item.future.set_running_or_notify_cancel():
-                continue
             key = (item.snapshot.name, item.snapshot.version)
             groups.setdefault(key, []).append(item)
         for (name, version), items in groups.items():
             try:
-                # Adopt the first submitter's trace so the batch-engine
+                # Adopt the first caller's trace so the batch-engine
                 # spans below stay linked to a request's trace even
-                # though they run on this worker thread.
+                # though they may run on another caller's thread.
                 with tracing.attach_context(items[0].context):
                     values = self._evaluate(items[0].snapshot,
                                             [i.query for i in items])
             except Exception as exc:  # propagate to every waiter
                 for item in items:
-                    item.future.set_exception(exc)
+                    item.error = exc
                 continue
             for item, value in zip(items, values):
                 self.cache.put((name, version, item.fingerprint), value)
-                item.future.set_result(
-                    QueryAnswer(value, version, False, item.fingerprint))
+                item.answer = QueryAnswer(value, version, False,
+                                          item.fingerprint)

@@ -112,7 +112,6 @@ class ReproService:
     """
 
     def __init__(self, *, mode: str = "exact", cache_size: int = 4096,
-                 batch_window_s: float = 0.0,
                  trace: bool = False, log_json: bool = False,
                  log_stream: TextIO | None = None,
                  monitor: bool = False,
@@ -123,8 +122,7 @@ class ReproService:
                  telemetry_memory: bool = False) -> None:
         self.registry = PublicationRegistry()
         self.frontend = QueryFrontend(
-            self.registry, cache_size=cache_size,
-            batch_window_s=batch_window_s, mode=mode)
+            self.registry, cache_size=cache_size, mode=mode)
         self.metrics_registry = MetricsRegistry()
         self.metrics_registry.register_collector(self._collect)
         register_build_info(self.metrics_registry)
@@ -382,14 +380,6 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(status, body, "application/json")
-
-    def _send_text(self, status: int, text: str,
-                   content_type: str = PROMETHEUS_CONTENT_TYPE) -> None:
-        self._send_body(status, text.encode("utf-8"), content_type)
-
     def _send_body(self, status: int, body: bytes,
                    content_type: str) -> None:
         """Send the whole response (status line, headers and body) in
@@ -492,9 +482,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                     duration_ms=round(duration * 1e3, 3),
                     client=self.client_address[0])
             if isinstance(payload, str):
-                self._send_text(status, payload)
+                body = payload.encode("utf-8")
+                content_type = PROMETHEUS_CONTENT_TYPE
             else:
-                self._send_json(status, payload)
+                body = json.dumps(payload).encode("utf-8")
+                content_type = "application/json"
+        # The span ends before the write, as the counter and histogram
+        # are recorded before it: a client that saw this reply and
+        # scrapes /metrics at once finds the request in all three.
+        self._send_body(status, body, content_type)
 
     def do_GET(self) -> None:
         self._dispatch("GET")

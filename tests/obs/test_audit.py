@@ -122,3 +122,42 @@ class TestRecordPublicationAudit:
         assert not metrics.enabled()
         audit = audit_publication(anatomize(hospital_table(), l=2), 2)
         record_publication_audit("p", 1, audit)  # must not raise
+
+
+class TestAuditScope:
+    """``repro_privacy_audit_ok`` certifies Theorem 1 on the release and
+    nothing more (see docs/THEORY.md, "What the privacy audit does not
+    cover")."""
+
+    def test_ingesting_adversary_learns_the_victims_value(self):
+        from repro.core.incremental import IncrementalAnatomizer
+        from repro.core.privacy import AnatomyAdversary
+
+        schema = hospital_schema()
+        disease = schema.sensitive
+        inc = IncrementalAnatomizer(schema, l=3)
+        # The attacker inserts two rows whose diseases it chose ...
+        planted = [(30, "M", 12000, "flu"), (31, "F", 13000, "dyspepsia")]
+        assert inc.insert_rows(planted) == 0
+        # ... and the victim's next row seals the group with them.
+        victim = (65, "F", 25000, "pneumonia")
+        assert inc.insert_rows([victim]) == 1
+        release = inc.publish()
+
+        # The release is 3-diverse and the audit passes ...
+        audit = audit_publication(release, 3)
+        assert audit.ok and audit.breach_probability <= 1 / 3 + 1e-12
+        assert release.breach_probability_bound() == pytest.approx(1 / 3)
+        victim_qi = tuple(a.encode(v)
+                          for a, v in zip(schema.qi_attributes, victim))
+        posterior = AnatomyAdversary(release).posterior(victim_qi)
+        assert max(posterior.values()) == pytest.approx(1 / 3)
+
+        # ... yet the ST minus the planted values leaves exactly one
+        # disease: the victim's, with certainty.
+        group, = set(release.qit.group_ids.tolist())
+        histogram = release.st.group_histogram(group)
+        for row in planted:
+            histogram[disease.encode(row[-1])] -= 1
+        left = [code for code, count in histogram.items() if count]
+        assert [disease.decode(code) for code in left] == ["pneumonia"]

@@ -38,8 +38,7 @@ SCHEMA_SPEC = {"qi": [{"name": "A", "size": 50}],
 def server(request):
     """A served ReproService; parametrize indirectly with ``True`` to
     run it with ``trace=True``."""
-    service = ReproService(batch_window_s=0.0005,
-                           trace=getattr(request, "param", False))
+    service = ReproService(trace=getattr(request, "param", False))
     server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -148,14 +147,16 @@ class TestContentLength:
 
 
 class _RecordingWriter:
-    """Wraps a handler's ``wfile``, recording every ``write``."""
+    """Wraps a handler's ``wfile``, recording every ``write`` (or, with
+    ``observe``, what it returns at the moment of each write)."""
 
-    def __init__(self, raw, writes: list) -> None:
+    def __init__(self, raw, writes: list, observe=bytes) -> None:
         self._raw = raw
         self._writes = writes
+        self._observe = observe
 
     def write(self, data) -> int:
-        self._writes.append(bytes(data))
+        self._writes.append(self._observe(data))
         return self._raw.write(data)
 
     def __getattr__(self, name):
@@ -243,6 +244,38 @@ class TestOneWritePerResponse:
         assert head.startswith(b"HTTP/1.1 413 ")
         assert b"\r\nConnection: close" in head
         assert "exceeds" in json.loads(body)["error"]
+
+
+class TestSpanEndsBeforeWrite:
+    """The ``http.request`` span is folded into the tracer's totals
+    before the response is written, so a client that scrapes
+    ``/metrics`` right after its reply finds its request counted."""
+
+    @pytest.mark.parametrize("server", [False, True], indirect=True,
+                             ids=["untraced", "traced"])
+    def test_request_span_counted_at_the_write(self, server):
+        tracer = server.service.tracer
+        counts: list[int] = []
+
+        def request_spans(_data) -> int:
+            return tracer.totals().get("http.request", {}).get("count", 0)
+
+        class Counting(ReproRequestHandler):
+            def setup(self) -> None:
+                super().setup()
+                self.wfile = _RecordingWriter(self.wfile, counts,
+                                              request_spans)
+
+        server.RequestHandlerClass = Counting
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            for path in ("/healthz", "/metrics", "/stats", "/nope"):
+                connection.request("GET", path)
+                connection.getresponse().read()
+        finally:
+            connection.close()
+        assert counts == [1, 2, 3, 4]
 
 
 #: Query specs that must be answered 400: before the one-pass query
@@ -561,7 +594,6 @@ def monitored():
     """A service with the canary monitor and SLO engine enabled;
     yields (api, service) so tests can reach the registries."""
     service = ReproService(
-        batch_window_s=0.0005,
         monitor_config=CanaryConfig(count=8, seed=5, interval_s=60.0),
         slo=SLOConfig(utility_error_degraded=0.2,
                       utility_error_failing=0.5))

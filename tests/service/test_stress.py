@@ -34,7 +34,7 @@ def test_mixed_ingest_query_stress(schema):
     publication = registry.create("stress", schema, l=L)
     publication.ingest([(i % 50, i % 20) for i in range(40)])
 
-    frontend = QueryFrontend(registry, batch_window_s=0.0005)
+    frontend = QueryFrontend(registry)
     pool = [CountQuery(schema,
                        {"A": [(i * 5 + j) % 50 for j in range(6)]},
                        [i % 20, (i + 3) % 20])
@@ -110,8 +110,7 @@ def test_writers_not_starved_by_readers(schema):
     registry = PublicationRegistry()
     publication = registry.create("p", schema, l=L)
     publication.ingest([(i % 50, i % 20) for i in range(40)])
-    frontend = QueryFrontend(registry, cache_size=0,
-                             batch_window_s=0.0)
+    frontend = QueryFrontend(registry, cache_size=0)
     query = CountQuery(schema, {"A": range(25)}, list(range(10)))
     stop = threading.Event()
 
@@ -137,14 +136,15 @@ def test_writers_not_starved_by_readers(schema):
 
 
 def test_unwindowed_queries_evaluated_once_each(schema):
-    """With no window, callers evaluate on their own threads and hand
-    the rest to the worker: under a tiny switch interval every query is
-    answered exactly, evaluated exactly once, and the frontend ends
-    idle (no query left pending, no evaluator still counted)."""
+    """Callers evaluate the pile on their own threads: under a tiny
+    switch interval every query is answered exactly and evaluated
+    exactly once, the pile never holds more queries than there are
+    callers inside ``query``, and the frontend ends idle (no query left
+    pending, no evaluator claiming the pile)."""
     registry = PublicationRegistry()
     publication = registry.create("p", schema, l=L)
     publication.ingest([(i % 50, i % 20) for i in range(200)])
-    frontend = QueryFrontend(registry, batch_window_s=0.0)
+    frontend = QueryFrontend(registry)
     n_threads, per_thread = 8, 30
     pools = [[CountQuery(schema, {"A": [(t * 7 + i) % 50,
                                         (t * 3 + i * 11) % 50]},
@@ -152,13 +152,30 @@ def test_unwindowed_queries_evaluated_once_each(schema):
               for i in range(per_thread)]
              for t in range(n_threads)]
     evaluated: list[int] = []
-    evaluate = frontend._evaluate
+    #: (queries in the pile, callers inside ``query``), sampled under
+    #: the frontend's lock while a batch is evaluated
+    piles: list[tuple[int, int]] = []
+    inside = [0]
+    inside_lock = threading.Lock()
+    evaluate, query = frontend._evaluate, frontend.query
 
     def counting(snapshot, queries):
         evaluated.append(len(queries))
+        with frontend._cond, inside_lock:
+            piles.append((len(frontend._pending), inside[0]))
         return evaluate(snapshot, queries)
 
+    def counted(*args, **kwargs):
+        with inside_lock:
+            inside[0] += 1
+        try:
+            return query(*args, **kwargs)
+        finally:
+            with inside_lock:
+                inside[0] -= 1
+
     frontend._evaluate = counting
+    frontend.query = counted
     answers: dict[tuple[int, int], float] = {}
     errors: list[BaseException] = []
     start = threading.Barrier(n_threads)
@@ -189,7 +206,9 @@ def test_unwindowed_queries_evaluated_once_each(schema):
     assert not errors, errors
     distinct = {query.row.tobytes() for pool in pools for query in pool}
     assert sum(evaluated) == len(distinct)
-    assert frontend._evaluating == 0 and frontend._pending == []
+    assert not frontend._evaluating and frontend._pending == []
+    assert piles and all(pile <= callers for pile, callers in piles)
+    assert max(pile for pile, _ in piles) < n_threads
     estimator = publication.snapshot().estimator
     for t, pool in enumerate(pools):
         for i, query in enumerate(pool):
