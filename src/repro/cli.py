@@ -124,9 +124,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             interval_s=args.monitor_interval,
             count=args.monitor_queries)
     slo = load_slo_config(args.slo_config) if args.slo_config else None
-    service = ReproService(mode=args.mode, cache_size=args.cache_size,
+    service = ReproService(cache_size=args.cache_size,
                            trace=args.trace, log_json=args.log_json,
-                           monitor=args.monitor,
                            monitor_config=monitor_config,
                            slo=slo,
                            telemetry_path=args.export_telemetry,
@@ -135,7 +134,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          verbose=args.verbose)
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port}", flush=True)
-    print(f"  mode={args.mode} cache_size={args.cache_size} "
+    print(f"  cache_size={args.cache_size} "
           f"trace={'on' if args.trace else 'off'} "
           f"log_json={'on' if args.log_json else 'off'} "
           f"monitor={'on' if args.monitor else 'off'} "
@@ -217,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="TCP port (0 picks a free one; default 8080)")
-    p.add_argument("--mode", choices=["exact", "fast"], default="exact",
-                   help="batch-engine mode for served queries")
     p.add_argument("--cache-size", type=int, default=4096,
                    help="result-cache capacity in entries (0 disables)")
     p.add_argument("--verbose", action="store_true",

@@ -205,20 +205,11 @@ class IncrementalAnatomizer:
         snapshots: the current release is built once per version and
         the same (immutable) object is returned until new groups seal.
         """
-        version = self.version if at_version is None else int(at_version)
-        if not 1 <= version <= len(self._groups):
-            raise ReproError(
-                "nothing to publish yet: fewer than l distinct "
-                "sensitive values have arrived"
-                if not self._groups else
-                f"no release at version {version}; current version is "
-                f"{self.version}")
+        version = self._check_version(at_version)
         cached = self._release_cache
         if cached is not None and cached[0] == version:
             return cached[1]
-        rows = [row for group in self._groups[:version] for row in group]
-        codes = np.asarray(rows, dtype=np.int32)
-        table = Table.from_codes(self.schema, codes)
+        table = self._rows_table(version)
         groups = [range(j * self.l, (j + 1) * self.l)
                   for j in range(version)]
         partition = Partition(table, groups, validate=False)
@@ -238,14 +229,24 @@ class IncrementalAnatomizer:
         canary utility monitor measures the paper's Section-7 relative
         error against exactly this table.
         """
+        return self._rows_table(self._check_version(at_version))
+
+    def _check_version(self, at_version: int | None) -> int:
+        """``at_version`` (default: current) after checking that a
+        release exists there."""
         version = self.version if at_version is None else int(at_version)
         if not 1 <= version <= len(self._groups):
             raise ReproError(
-                "nothing published yet: fewer than l distinct "
+                "nothing to publish yet: fewer than l distinct "
                 "sensitive values have arrived"
                 if not self._groups else
                 f"no release at version {version}; current version is "
                 f"{self.version}")
+        return version
+
+    def _rows_table(self, version: int) -> Table:
+        """The rows of the first ``version`` sealed groups, in Group-ID
+        order, as a table."""
         rows = [row for group in self._groups[:version] for row in group]
         return Table.from_codes(self.schema,
                                 np.asarray(rows, dtype=np.int32))

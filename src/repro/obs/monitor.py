@@ -69,11 +69,7 @@ import numpy as np
 from repro.exceptions import ReproError, ServiceError
 from repro.obs.logging import StructuredLogger
 from repro.obs.metrics import MetricsRegistry
-from repro.query.batch import (
-    MicrodataIndex,
-    WorkloadEncoding,
-    anatomy_index_for,
-)
+from repro.query.batch import MicrodataIndex, WorkloadEncoding
 from repro.query.evaluate import WorkloadResult, error_summary
 from repro.query.workload import make_workload
 
@@ -176,11 +172,10 @@ def measure_snapshot(snapshot, encoding: WorkloadEncoding,
     """
     if ground_truth is not None:
         actuals = MicrodataIndex(ground_truth).evaluate(encoding)
-        estimates = snapshot.estimator.estimate_workload(
-            encoding, mode="exact")
+        estimates = snapshot.estimator.estimate_workload(encoding)
         return "ground-truth", error_summary(actuals, estimates)
-    index = anatomy_index_for(snapshot.release)
-    estimates, variances = index.evaluate_with_variance(encoding)
+    estimates, variances = snapshot.estimator.index.evaluate_with_variance(
+        encoding)
     keep = estimates > 0.0
     expected = np.sqrt(variances[keep]) / estimates[keep]
     summary = WorkloadResult(

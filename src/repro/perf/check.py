@@ -36,6 +36,12 @@ DEFAULT_BASELINE = os.path.join(_BENCH_DIR, "BENCH_baseline.json")
 #: Format version of the summary document.
 SCHEMA_VERSION = 1
 
+#: Spans whose ``mean_s`` holds a dimensionless ratio rather than a
+#: time (``benchmarks/bench_monitor.py`` records the monitored/plain
+#: latency ratio this way).  They are gated like every other span but
+#: printed without a unit.
+RATIO_SPANS = frozenset({"bench.service_query_monitor_overhead"})
+
 
 def write_summary(path: str, spans: dict[str, dict], **metadata) -> str:
     """Write a benchmark summary as JSON, creating the parent directory
@@ -57,6 +63,14 @@ def load_summary(path: str) -> dict:
         raise ValueError(f"{path} is not a benchmark summary "
                          f"(expected an object with a 'spans' map)")
     return document
+
+
+def _format_mean(name: str, value: float) -> str:
+    """A span's mean as printed: milliseconds, or a bare number for the
+    :data:`RATIO_SPANS`."""
+    if name in RATIO_SPANS:
+        return f"{value:.3f}"
+    return f"{value * 1e3:.2f} ms"
 
 
 def compare(current: dict, baseline: dict,
@@ -83,12 +97,14 @@ def compare(current: dict, baseline: dict,
         if base_mean <= 0.0:
             continue
         ratio = cur_mean / base_mean
-        line = (f"{name}: {cur_mean * 1e3:.2f} ms vs baseline "
-                f"{base_mean * 1e3:.2f} ms ({ratio:.2f}x)")
+        line = (f"{name}: {_format_mean(name, cur_mean)} vs baseline "
+                f"{_format_mean(name, base_mean)} ({ratio:.2f}x)")
         if ratio > threshold:
+            delta = _format_mean(name, cur_mean - base_mean)
+            if name not in RATIO_SPANS:
+                delta += "/call"
             regressed.append((ratio, (
-                f"{line} exceeds {threshold:.1f}x "
-                f"(+{(cur_mean - base_mean) * 1e3:.2f} ms/call)")))
+                f"{line} exceeds {threshold:.1f}x (+{delta})")))
         else:
             notes.append(line)
     for name in sorted(set(current_spans) - set(baseline_spans)):

@@ -35,13 +35,10 @@ O(workload), not O(workload x n):
   in-interval count for every (query, group) pair is two fancy-indexed
   differences of the cumulative table.
 
-Two result modes are offered.  ``mode="exact"`` reproduces the per-query
-estimators' floating-point results *bit for bit* (every sum is either an
-integer count or reduced in the same order numpy uses per query); it is
-the default everywhere the engine replaces a per-query loop.
-``mode="fast"`` reassociates the anatomy contraction into a low-rank
-product ``(ST/|QI|)^T @ S`` which is faster at wide workloads and agrees
-to ~1e-15 relative error.
+Every index reproduces the per-query estimators' floating-point results
+*bit for bit*: every sum is either an integer count or reduced in the
+same order numpy uses per query, so the engine can replace a per-query
+loop anywhere without changing an answer.
 
 Estimators gain the batch path by inheriting :class:`BatchEvaluator`,
 which owns the index and adds ``estimate_workload``; their per-query
@@ -70,16 +67,6 @@ from repro.query.predicates import CountQuery
 #: byte-aligned in the packed masks; 256 keeps every intermediate well
 #: inside cache while amortizing the per-pass fixed costs.
 CHUNK_QUERIES = 256
-
-_MODES = ("exact", "fast")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise QueryError(
-            f"unknown batch evaluation mode {mode!r}; expected one of "
-            f"{_MODES}")
-
 
 class WorkloadEncoding:
     """Bit-packed predicate tables for one workload against one schema.
@@ -156,11 +143,8 @@ class MicrodataIndex:
         }
         self._sensitive = np.ascontiguousarray(table.sensitive_column)
 
-    def evaluate(self, encoding: WorkloadEncoding,
-                 mode: str = "exact") -> np.ndarray:
-        """Exact integer counts (as float64) for every query.  Counts are
-        integers, so both modes are identical here."""
-        _check_mode(mode)
+    def evaluate(self, encoding: WorkloadEncoding) -> np.ndarray:
+        """Exact integer counts (as float64) for every query."""
         out = np.empty(encoding.n_queries, dtype=np.float64)
         for lo, hi, wlo, whi in _chunks(encoding.n_queries):
             mask = encoding.sens_bits[:, wlo:whi][self._sensitive]
@@ -194,11 +178,6 @@ class AnatomyIndex:
         if np.any(self.group_sizes == 0):
             raise QueryError("ST contains an empty group")
         self._st_matrix_f = self.st_matrix.astype(np.float64)
-        if self.m:
-            self._st_scaled_t = np.ascontiguousarray(
-                (self._st_matrix_f / self.group_sizes[:, None]).T)
-        else:
-            self._st_scaled_t = np.zeros((sens_size, 0), dtype=np.float64)
         # Distinct QI combinations (cells) and the padded member matrix:
         # row j holds the cell ids of group j+1's tuples, padded with the
         # sentinel cell K whose mask bits are always zero.
@@ -262,6 +241,27 @@ class AnatomyIndex:
             counts |= contribution  # planes carry disjoint bits: | is +
         return counts
 
+    def _chunk_factors(self, encoding: WorkloadEncoding, lo: int, hi: int,
+                       wlo: int, whi: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(satisfied, count_s)`` for one query chunk: ``(q_chunk, m)``
+        float64 per-group counts of the tuples inside each query's QI
+        region and of the tuples carrying one of its sensitive values.
+        Both are integer-valued, hence exact (the second is a dgemm of
+        integers, exact under f64 BLAS)."""
+        satisfied = self._satisfied_counts(
+            encoding, wlo, whi, hi - lo).T.astype(np.float64)
+        count_s = encoding.sens_indicator[lo:hi] @ self._st_matrix_f.T
+        return satisfied, count_s
+
+    def _estimates(self, satisfied: np.ndarray,
+                   count_s: np.ndarray) -> np.ndarray:
+        """One chunk's estimates, bit for bit the per-query arithmetic:
+        the same elementwise divide by ``|QI_j|`` and the same row-order
+        reduction.  Overwrites both arguments."""
+        satisfied /= self.group_sizes
+        count_s *= satisfied
+        return count_s.sum(axis=1)
+
     def evaluate_with_variance(self, encoding: WorkloadEncoding
                                ) -> tuple[np.ndarray, np.ndarray]:
         """Estimates plus the paper's Section-5.4 error variance.
@@ -282,62 +282,30 @@ class AnatomyIndex:
         ``sqrt(Var)/est`` is the model's expected relative error.
 
         Returns ``(estimates, variances)``, both ``(Q,)`` float64 with
-        estimates identical to ``evaluate(mode="exact")``.
+        estimates identical to :meth:`evaluate`.
         """
-        q_count = encoding.n_queries
-        est = np.empty(q_count, dtype=np.float64)
-        var = np.empty(q_count, dtype=np.float64)
-        if q_count == 0:
-            return est, var
-        if self.m == 0:
-            est.fill(0.0)
-            var.fill(0.0)
-            return est, var
+        est = np.empty(encoding.n_queries, dtype=np.float64)
+        var = np.empty(encoding.n_queries, dtype=np.float64)
         sizes = self.group_sizes
         denominator = np.maximum(sizes - 1.0, 1.0)
-        for lo, hi, wlo, whi in _chunks(q_count):
-            a = self._satisfied_counts(encoding, wlo, whi,
-                                       hi - lo).T.astype(np.float64)
-            c = encoding.sens_indicator[lo:hi] @ self._st_matrix_f.T
-            fractions = a / sizes
-            contributions = c * fractions
-            est[lo:hi] = contributions.sum(axis=1)
+        for lo, hi, wlo, whi in _chunks(encoding.n_queries):
+            a, c = self._chunk_factors(encoding, lo, hi, wlo, whi)
             p = c / sizes
             # a == n_j (or 0, or n_j == 1) makes the factor 0, so the
             # clamped denominator never manufactures variance.
             var[lo:hi] = (a * p * (1.0 - p)
                           * ((sizes - a) / denominator)).sum(axis=1)
+            est[lo:hi] = self._estimates(a, c)
         return est, var
 
-    def evaluate(self, encoding: WorkloadEncoding,
-                 mode: str = "exact") -> np.ndarray:
+    def evaluate(self, encoding: WorkloadEncoding) -> np.ndarray:
         """``sum_j count_j(V_s) * p_j`` for every query (Section 1.2)."""
-        _check_mode(mode)
         out = np.empty(encoding.n_queries, dtype=np.float64)
-        if encoding.n_queries == 0:
-            return out
-        if self.m == 0:
-            out.fill(0.0)
-            return out
         for lo, hi, wlo, whi in _chunks(encoding.n_queries):
-            counts = self._satisfied_counts(encoding, wlo, whi, hi - lo)
-            if mode == "fast":
-                # Low-rank reassociation: contract the scaled ST with the
-                # group counts first (one dgemm), then with the sensitive
-                # indicator.  ~1e-15 relative deviation from "exact".
-                reduced = self._st_scaled_t @ counts.astype(np.float64)
-                out[lo:hi] = np.einsum(
-                    "qv,vq->q", encoding.sens_indicator[lo:hi], reduced)
-            else:
-                # Bit-for-bit the per-query arithmetic: integer-valued
-                # count_s (exact under f64 BLAS), the same elementwise
-                # divide by |QI_j|, and the same row-order reduction.
-                fractions = counts.T.astype(np.float64)
-                fractions /= self.group_sizes
-                count_s = (encoding.sens_indicator[lo:hi]
-                           @ self._st_matrix_f.T)
-                count_s *= fractions
-                out[lo:hi] = count_s.sum(axis=1)
+            # The factors are temporaries, so one chunk's arrays are
+            # freed before the next chunk's are built.
+            out[lo:hi] = self._estimates(
+                *self._chunk_factors(encoding, lo, hi, wlo, whi))
         return out
 
 
@@ -393,8 +361,7 @@ def clear_index_cache() -> None:
 class GeneralizationIndex:
     """Interval index of a generalized publication.
 
-    Evaluation is exact interval arithmetic on prefix sums; there is no
-    approximation to trade away, so both modes coincide.
+    Evaluation is exact interval arithmetic on prefix sums.
     """
 
     def __init__(self, published: GeneralizedTable) -> None:
@@ -419,11 +386,9 @@ class GeneralizationIndex:
                 self.sens_matrix[j, code] = count
         self._sens_matrix_f = self.sens_matrix.astype(np.float64)
 
-    def evaluate(self, encoding: WorkloadEncoding,
-                 mode: str = "exact") -> np.ndarray:
+    def evaluate(self, encoding: WorkloadEncoding) -> np.ndarray:
         """``sum_j count_j(V_s) * p_j`` with the uniform-assumption
         in-box fractions (Section 1.1)."""
-        _check_mode(mode)
         out = np.empty(encoding.n_queries, dtype=np.float64)
         if encoding.n_queries == 0:
             return out
@@ -480,11 +445,16 @@ class BatchEvaluator:
         """Evaluate every query of a workload in one vectorized pass.
 
         ``queries`` may be a sequence of :class:`CountQuery` or an
-        already-built :class:`WorkloadEncoding`.  ``mode="exact"``
-        (default) matches ``estimate`` bit for bit; ``mode="fast"``
-        allows reassociated floating-point reductions (~1e-15 relative).
+        already-built :class:`WorkloadEncoding`.  The result matches
+        ``estimate`` bit for bit.  ``mode="exact"`` is the only
+        accepted mode and any other value raises :class:`QueryError`;
+        the keyword stays so callers that still pass it (the perfbench
+        oracle) keep working.
         """
-        _check_mode(mode)
+        if mode != "exact":
+            raise QueryError(
+                f"unknown batch evaluation mode {mode!r}; the batch "
+                f"engine only evaluates exactly")
         if isinstance(queries, WorkloadEncoding):
             encoding = queries
             if encoding.schema != self._index.schema:
@@ -494,11 +464,11 @@ class BatchEvaluator:
         else:
             encoding = self.encode(queries)
         with span("query.batch.evaluate", queries=encoding.n_queries,
-                  mode=mode, index=type(self._index).__name__):
-            values = self._index.evaluate(encoding, mode=mode)
+                  index=type(self._index).__name__):
+            values = self._index.evaluate(encoding)
         if metrics.enabled():
             metrics.inc("repro_query_batch_evaluations_total",
-                        mode=mode, index=type(self._index).__name__)
+                        index=type(self._index).__name__)
             metrics.inc("repro_query_batch_queries_total",
                         encoding.n_queries)
         return values

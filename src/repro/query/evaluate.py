@@ -12,10 +12,9 @@ accordingly).
 
 When every evaluator supports the batch engine (all the built-in ones
 do — see :mod:`repro.query.batch`), the workload is encoded once and
-evaluated in vectorized passes; the default ``mode="exact"`` makes this
-bit-for-bit identical to the per-query loop, which remains available via
-``batch=False`` (and is used automatically for third-party estimators
-exposing only ``estimate``).
+evaluated in vectorized passes, bit-for-bit identical to the per-query
+loop, which remains available via ``batch=False`` (and is used
+automatically for third-party estimators exposing only ``estimate``).
 """
 
 from __future__ import annotations
@@ -103,40 +102,40 @@ def error_summary(actuals, estimates) -> WorkloadResult:
 
 
 def _evaluate_batch(queries: Sequence[CountQuery], exact,
-                    estimators: dict[str, object],
-                    mode: str) -> dict[str, WorkloadResult]:
+                    estimators: dict[str, object]
+                    ) -> dict[str, WorkloadResult]:
     """One encoding, one ground-truth pass, one pass per estimator."""
     queries = list(queries)
     if not queries:
         return {name: WorkloadResult() for name in estimators}
     encoding = exact.encode(queries)
-    actuals = exact.estimate_workload(encoding, mode=mode)
+    actuals = exact.estimate_workload(encoding)
     return {
         name: error_summary(
-            actuals, estimator.estimate_workload(encoding, mode=mode))
+            actuals, estimator.estimate_workload(encoding))
         for name, estimator in estimators.items()
     }
 
 
 def evaluate_workload(queries: Sequence[CountQuery],
-                      exact, estimator, *, batch: bool = True,
-                      mode: str = "exact") -> WorkloadResult:
+                      exact, estimator, *,
+                      batch: bool = True) -> WorkloadResult:
     """Run a workload through ``exact`` (truth) and ``estimator`` and
     collect relative errors.
 
     Both arguments expose ``estimate(query) -> float`` (see
     :mod:`repro.query.estimators`).  When both also expose the batch
     interface (``encode`` / ``estimate_workload``) and ``batch`` is true,
-    the workload goes through the vectorized engine; ``mode`` is the
-    batch mode (``"exact"`` is bit-identical to the per-query loop).
+    the workload goes through the vectorized engine, which is
+    bit-identical to the per-query loop.
     """
     return evaluate_workload_many(queries, exact, {"_": estimator},
-                                  batch=batch, mode=mode)["_"]
+                                  batch=batch)["_"]
 
 
 def evaluate_workload_many(queries: Sequence[CountQuery], exact,
                            estimators: dict[str, object], *,
-                           batch: bool = True, mode: str = "exact"
+                           batch: bool = True
                            ) -> dict[str, WorkloadResult]:
     """Evaluate several estimators over the same workload with one pass of
     ground-truth computation (the expensive part).
@@ -147,7 +146,7 @@ def evaluate_workload_many(queries: Sequence[CountQuery], exact,
     """
     if (batch and _supports_batch(exact)
             and all(_supports_batch(e) for e in estimators.values())):
-        return _evaluate_batch(queries, exact, estimators, mode)
+        return _evaluate_batch(queries, exact, estimators)
     results = {name: WorkloadResult() for name in estimators}
     for query in queries:
         actual = exact.estimate(query)

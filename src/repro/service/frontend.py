@@ -14,7 +14,9 @@ Each pile is grouped by ``(publication, version)`` and evaluated
 through the vectorized batch engine
 (:meth:`repro.query.batch.BatchEvaluator.estimate_workload`) in one
 pass — under load the per-query cost collapses to the batch engine's
-amortized cost.
+amortized cost.  The batch engine has one evaluation path, so every
+answer is bit for bit what the release's per-query estimator returns,
+however the queries were batched.
 
 ``query_batch`` is the synchronous bulk path: an explicit workload
 (e.g. one HTTP request carrying many queries) skips the pile and goes
@@ -100,20 +102,11 @@ class QueryFrontend:
         The publication registry to serve from.
     cache_size:
         LRU result-cache capacity in entries (0 disables caching).
-    mode:
-        Batch-engine mode: ``"exact"`` (default, bit-identical to the
-        per-query estimators) or ``"fast"``.
     """
 
     def __init__(self, registry: PublicationRegistry, *,
-                 cache_size: int = 4096,
-                 mode: str = "exact") -> None:
-        if mode not in ("exact", "fast"):
-            raise QueryError(
-                f"unknown serving mode {mode!r}; expected 'exact' or "
-                f"'fast'")
+                 cache_size: int = 4096) -> None:
         self.registry = registry
-        self.mode = mode
         self.cache = LRUCache(cache_size)
         self._cond = threading.Condition()
         self._pending: list[_Pending] = []
@@ -249,10 +242,8 @@ class QueryFrontend:
         if snapshot.estimator is None:
             return [0.0] * len(queries)
         with span("service.query.batch", publication=snapshot.name,
-                  version=snapshot.version, queries=len(queries),
-                  mode=self.mode):
-            values = snapshot.estimator.estimate_workload(
-                queries, mode=self.mode)
+                  version=snapshot.version, queries=len(queries)):
+            values = snapshot.estimator.estimate_workload(queries)
         return [float(v) for v in values]
 
     def _run_batch(self, batch: list[_Pending]) -> None:

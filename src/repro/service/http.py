@@ -58,11 +58,9 @@ carrying the trace/span IDs (:mod:`repro.obs.logging`).
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TextIO
 from urllib.parse import parse_qs, urlparse
 
 from repro.exceptions import ReproError, ServiceError
@@ -106,23 +104,21 @@ class ReproService:
     ``spans``, and keeps span records (``traces``) only with
     ``trace=True``.
 
-    The monitor/health/exporter trio is strictly opt-in: with the
+    The monitor/health/exporter trio is strictly opt-in: the canary
+    monitor runs iff ``monitor_config`` is given, the health engine iff
+    ``slo`` is, and the exporter iff ``telemetry_path`` is.  With the
     defaults nothing is constructed, no background thread starts, and
     the request path is exactly the plain service.
     """
 
-    def __init__(self, *, mode: str = "exact", cache_size: int = 4096,
+    def __init__(self, *, cache_size: int = 4096,
                  trace: bool = False, log_json: bool = False,
-                 log_stream: TextIO | None = None,
-                 monitor: bool = False,
                  monitor_config: CanaryConfig | None = None,
                  slo: SLOConfig | None = None,
                  telemetry_path: str | None = None,
-                 telemetry_interval_s: float = 1.0,
                  telemetry_memory: bool = False) -> None:
         self.registry = PublicationRegistry()
-        self.frontend = QueryFrontend(
-            self.registry, cache_size=cache_size, mode=mode)
+        self.frontend = QueryFrontend(self.registry, cache_size=cache_size)
         self.metrics_registry = MetricsRegistry()
         self.metrics_registry.register_collector(self._collect)
         register_build_info(self.metrics_registry)
@@ -130,10 +126,9 @@ class ReproService:
         self.tracer = tracing.Tracer() if trace \
             else tracing.Tracer(max_spans=0)
         self.logger = obs_logging.StructuredLogger(
-            stream=log_stream if log_stream is not None else sys.stderr,
             service="repro.service") if log_json else None
         self.monitor: CanaryMonitor | None = None
-        if monitor or monitor_config is not None:
+        if monitor_config is not None:
             self.monitor = CanaryMonitor(
                 self.registry, config=monitor_config,
                 metrics=self.metrics_registry, logger=self.logger)
@@ -146,7 +141,6 @@ class ReproService:
             self.exporter = TelemetryExporter(
                 telemetry_path, tracer=self.tracer if trace else None,
                 registry=self.metrics_registry,
-                interval_s=telemetry_interval_s,
                 memory_watermarks=telemetry_memory,
                 logger=self.logger)
         self._previous_registry: object = _UNSET
@@ -631,15 +625,15 @@ class ReproHTTPServer(ThreadingHTTPServer):
 
 def make_server(service: ReproService | None = None,
                 host: str = "127.0.0.1", port: int = 0, *,
-                verbose: bool = False,
-                install_recorder: bool = True) -> ReproHTTPServer:
+                verbose: bool = False) -> ReproHTTPServer:
     """Bind a server (``port=0`` picks a free port; see
-    ``server.server_address``).  Call ``serve_forever`` to run it and
+    ``server.server_address``), route the global observability hooks to
+    its service (:meth:`ReproService.install_recorder`) and start its
+    background workers.  Call ``serve_forever`` to run it and
     ``shutdown`` + ``server_close`` to stop."""
     if service is None:
         service = ReproService()
     server = ReproHTTPServer((host, port), service, verbose=verbose)
-    if install_recorder:
-        service.install_recorder()
+    service.install_recorder()
     service.start_background()
     return server

@@ -207,7 +207,9 @@ class TestServe:
 
     def test_serve_rejects_bad_mode(self, capsys):
         assert main(["serve", "--mode", "sloppy"]) == EXIT_USAGE
-        capsys.readouterr()
+        # exact is the only evaluation mode, so there is no flag left
+        assert main(["serve", "--mode", "exact"]) == EXIT_USAGE
+        assert "--mode" in capsys.readouterr().err
 
     def test_serve_monitor_smoke(self, tmp_path):
         """``serve --monitor --slo-config --export-telemetry``: the

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.perf.check import DEFAULT_BASELINE, compare, load_summary, main
+from repro.perf.check import (
+    DEFAULT_BASELINE,
+    RATIO_SPANS,
+    compare,
+    load_summary,
+    main,
+)
 
 
 def summary(spans):
@@ -56,6 +62,22 @@ class TestCompare:
         assert compare(current, baseline, threshold=1.2)[0]
         assert not compare(current, baseline, threshold=2.0)[0]
 
+    def test_ratio_span_is_printed_without_a_unit(self):
+        name = "bench.service_query_monitor_overhead"
+        assert name in RATIO_SPANS
+        _, notes = compare(summary({name: 1.02463}),
+                           summary({name: 1.03417}))
+        assert notes == [f"{name}: 1.025 vs baseline 1.034 (0.99x)"]
+
+    def test_ratio_span_regression_keeps_the_2x_bound(self):
+        name = "bench.service_query_monitor_overhead"
+        violations, _ = compare(summary({name: 2.5}),
+                                summary({name: 1.0}))
+        line, = violations
+        assert line == (f"{name}: 2.500 vs baseline 1.000 (2.50x) "
+                        f"exceeds 2.0x (+1.500)")
+        assert not compare(summary({name: 1.9}), summary({name: 1.0}))[0]
+
     def test_zero_baseline_mean_never_divides(self):
         violations, _ = compare(summary({"a": 1.0}),
                                 summary({"a": 0.0}))
@@ -80,6 +102,9 @@ class TestCommittedBaseline:
         for stats in baseline["spans"].values():
             assert set(stats) == {"count", "total_s", "min_s", "max_s",
                                   "mean_s"}
+
+    def test_ratio_spans_are_recorded_spans(self):
+        assert RATIO_SPANS <= set(load_summary(DEFAULT_BASELINE)["spans"])
 
 
 class TestMain:

@@ -1,10 +1,8 @@
 """Unit tests for the batch query-evaluation engine.
 
-The engine's contract: ``estimate_workload`` in the default "exact" mode
-returns, for every query, *bit for bit* the float the per-query
-``estimate`` would return; "fast" mode may reassociate reductions but
-stays within 1e-9 relative.  One WorkloadEncoding is shareable by every
-estimator of an equal schema.
+The engine's contract: ``estimate_workload`` returns, for every query,
+*bit for bit* the float the per-query ``estimate`` would return.  One
+WorkloadEncoding is shareable by every estimator of an equal schema.
 """
 
 import numpy as np
@@ -121,14 +119,12 @@ class TestBatchMatchesPerQuery:
                 [evaluator.estimate(q) for q in workload])
             batch = evaluator.estimate_workload(workload)
             assert np.array_equal(batch, reference), name
-
-    def test_fast_mode_within_1e9(self, evaluators, workload):
-        for name, evaluator in evaluators.items():
-            reference = np.array(
-                [evaluator.estimate(q) for q in workload])
-            fast = evaluator.estimate_workload(workload, mode="fast")
-            np.testing.assert_allclose(fast, reference, rtol=1e-9,
-                                       err_msg=name)
+        # The variance path's estimates are the same floats too.
+        anatomy = evaluators["anatomy"]
+        estimates, _ = anatomy.index.evaluate_with_variance(
+            anatomy.encode(workload))
+        assert np.array_equal(estimates,
+                              anatomy.estimate_workload(workload))
 
     def test_encoding_shared_across_estimators(self, evaluators,
                                                workload):
@@ -152,9 +148,10 @@ class TestBatchMatchesPerQuery:
                 evaluator.estimate_workload(queries), reference), name
 
     def test_unknown_mode_rejected(self, evaluators, workload):
-        with pytest.raises(QueryError):
-            evaluators["anatomy"].estimate_workload(workload,
-                                                    mode="sloppy")
+        for mode in ("sloppy", "fast"):
+            with pytest.raises(QueryError):
+                evaluators["anatomy"].estimate_workload(workload,
+                                                        mode=mode)
 
     def test_mismatched_encoding_rejected(self, evaluators):
         other = Schema([Attribute("X", range(3))],

@@ -204,24 +204,6 @@ class TestBatchPath:
         # second call evaluated only the 20 misses
         assert batches[-1]["attributes"]["queries"] == 20
 
-    def test_fast_mode_close_to_exact(self, served, schema):
-        registry, publication, _ = served
-        fast = QueryFrontend(registry, mode="fast", cache_size=0)
-        try:
-            queries = query_pool(schema, 64)
-            exact = publication.snapshot().estimator.estimate_workload(
-                queries)
-            answers = fast.query_batch("p", queries)
-            for expected, answer in zip(exact, answers):
-                assert answer.answer == pytest.approx(expected,
-                                                      rel=1e-9, abs=1e-9)
-        finally:
-            fast.close()
-
-    def test_invalid_mode_rejected(self, schema):
-        with pytest.raises(QueryError, match="unknown serving mode"):
-            QueryFrontend(PublicationRegistry(), mode="approximate")
-
 
 class TestCoalescing:
     def test_queries_behind_a_running_batch_coalesce(
