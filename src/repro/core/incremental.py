@@ -11,13 +11,16 @@ natural incremental scheme:
   identical in every release (no cross-release intersection attack on
   the grouping itself);
 * newly inserted tuples accumulate in a private *buffer*; whenever the
-  buffer can form new all-distinct groups of ``l`` tuples (the
-  group-creation step of Figure 3 applied to the buffer alone), those
-  groups are sealed and published;
+  buffer can form new all-distinct groups of ``l`` tuples, those groups
+  are sealed and published.  Sealing is the group-creation step of
+  Figure 3 applied to the buffer alone, with the same bucket heap as
+  :func:`repro.core.anatomize.anatomize`; ties between equal bucket
+  sizes go to the sensitive code that reached the buffer first;
 * tuples still in the buffer are withheld from the publication — the
-  release is always exactly l-diverse, at the price of publishing a few
-  tuples late (at most ``λ_buffer * (ceil(n_buffer / λ) )``... bounded
-  in practice by the buffer's own eligibility).
+  release is always exactly l-diverse, at the price of publishing some
+  tuples late.  After each batch the buffer holds tuples of at most
+  ``l - 1`` distinct sensitive values; how many depends on the
+  stream's skew.
 
 Scope note: this addresses *insertions* only.  Full re-publication
 semantics with deletions and counterfeit tuples is the m-invariance
@@ -27,9 +30,11 @@ line of follow-up work and is out of scope for this reproduction.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
+from repro.core.anatomize import _BucketHeap
 from repro.core.partition import Partition
 from repro.core.tables import AnatomizedTables
 from repro.dataset.schema import Schema
@@ -88,25 +93,18 @@ class IncrementalAnatomizer:
     def insert_codes(self, rows: Iterable[Sequence[int]]) -> int:
         """Insert rows given as code tuples ``(qi..., sensitive)``.
 
-        Returns the number of new groups sealed by this batch.
+        A batch is all-or-nothing: a row of the wrong arity, a code that
+        is not an integer (``bool`` included) or a code outside its
+        attribute's domain raises :class:`SchemaError` before any row is
+        buffered, leaving :attr:`version` and :attr:`buffered_count`
+        unchanged.  Returns the number of new groups sealed by this
+        batch.
         """
         rows = list(rows)
         with span("incremental.ingest", rows=len(rows)):
-            width = len(self.schema.attributes)
-            for row in rows:
-                row = tuple(int(v) for v in row)
-                if len(row) != width:
-                    raise SchemaError(
-                        f"row has {len(row)} codes, schema expects "
-                        f"{width}")
-                for code, attr in zip(row, self.schema.attributes):
-                    if not 0 <= code < attr.size:
-                        raise SchemaError(
-                            f"code {code} out of domain for "
-                            f"{attr.name!r}")
-                sens = row[-1]
-                self._buffer.setdefault(sens, []).append(row)
-                self._buffered += 1
+            for row in self._checked_rows(rows):
+                self._buffer.setdefault(row[-1], []).append(row)
+            self._buffered += len(rows)
             sealed = self._drain_buffer()
         if metrics.enabled():
             metrics.inc("repro_incremental_rows_total", len(rows))
@@ -114,6 +112,39 @@ class IncrementalAnatomizer:
                 metrics.inc("repro_incremental_sealed_groups_total",
                             sealed)
         return sealed
+
+    def _checked_rows(self, rows: list) -> list[tuple[int, ...]]:
+        """``rows`` as tuples of Python ints, checked over the whole
+        batch in order: arity, integer type (``bool`` rejected, as for
+        query codes), then domain.  Each check is one C-level pass, so
+        a large batch costs no Python loop here."""
+        attrs = self.schema.attributes
+        width = len(attrs)
+        try:
+            arities = set(map(len, rows))
+        except TypeError:
+            raise SchemaError("each row must be a sequence of codes") \
+                from None
+        if arities - {width}:
+            arity = next(len(row) for row in rows if len(row) != width)
+            raise SchemaError(
+                f"row has {arity} codes, schema expects {width}")
+        kinds = set(map(type, chain.from_iterable(rows)))
+        invalid = {kind for kind in kinds if kind is bool
+                   or not issubclass(kind, (int, np.integer))}
+        if invalid:
+            code = next(c for c in chain.from_iterable(rows)
+                        if type(c) in invalid)
+            raise SchemaError(f"non-integer code {code!r}")
+        columns = list(zip(*rows))
+        if kinds - {int}:
+            columns = [tuple(map(int, column)) for column in columns]
+        for column, attr in zip(columns, attrs):
+            if column and not 0 <= min(column) <= max(column) < attr.size:
+                code = next(c for c in column if not 0 <= c < attr.size)
+                raise SchemaError(
+                    f"code {code} out of domain for {attr.name!r}")
+        return list(zip(*columns))
 
     def insert_rows(self, rows: Iterable[Sequence[object]]) -> int:
         """Insert rows given as decoded values."""
@@ -136,26 +167,25 @@ class IncrementalAnatomizer:
 
     def _drain_buffer(self) -> int:
         """Seal as many all-distinct groups of l tuples as the buffer
-        allows (the group-creation step restricted to the buffer)."""
-        nonempty = [c for c, rows in self._buffer.items() if rows]
-        if len(nonempty) < self.l:
+        allows: Figure 3's group-creation restricted to the buffer, over
+        one bucket heap whose size ties go to the earliest-arrived
+        code."""
+        heap = _BucketHeap({code: len(rows)
+                            for code, rows in self._buffer.items()})
+        if heap.nonempty_count < self.l:
             return 0
         sealed = 0
         with span("incremental.seal") as seal:
-            while len(nonempty) >= self.l:
-                nonempty.sort(key=lambda c: len(self._buffer[c]),
-                              reverse=True)
-                chosen = nonempty[:self.l]
+            while heap.nonempty_count >= self.l:
                 group = []
-                for code in chosen:
+                for code in heap.pop_largest(self.l):
                     rows = self._buffer[code]
                     pick = int(self._rng.integers(len(rows)))
                     rows[pick], rows[-1] = rows[-1], rows[pick]
                     group.append(rows.pop())
                 self._groups.append(group)
-                self._buffered -= self.l
                 sealed += 1
-                nonempty = [c for c, rows in self._buffer.items() if rows]
+            self._buffered -= sealed * self.l
             seal.set_attribute("sealed", sealed)
         return sealed
 

@@ -20,7 +20,8 @@ global load and a branch::
     from repro.obs import metrics
 
     if metrics.enabled():
-        metrics.inc("repro_anatomize_total", method=method)
+        metrics.inc("repro_service_ingest_rows_total", len(rows),
+                    publication=name)
 
 *Collectors* bridge state that is already counted elsewhere (the LRU
 cache's hit/miss/eviction counters, registry gauges): a collector

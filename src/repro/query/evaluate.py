@@ -13,8 +13,8 @@ accordingly).
 When every evaluator supports the batch engine (all the built-in ones
 do — see :mod:`repro.query.batch`), the workload is encoded once and
 evaluated in vectorized passes, bit-for-bit identical to the per-query
-loop, which remains available via ``batch=False`` (and is used
-automatically for third-party estimators exposing only ``estimate``).
+loop, which third-party estimators exposing only ``estimate`` get
+instead.
 """
 
 from __future__ import annotations
@@ -118,33 +118,30 @@ def _evaluate_batch(queries: Sequence[CountQuery], exact,
 
 
 def evaluate_workload(queries: Sequence[CountQuery],
-                      exact, estimator, *,
-                      batch: bool = True) -> WorkloadResult:
+                      exact, estimator) -> WorkloadResult:
     """Run a workload through ``exact`` (truth) and ``estimator`` and
     collect relative errors.
 
     Both arguments expose ``estimate(query) -> float`` (see
     :mod:`repro.query.estimators`).  When both also expose the batch
-    interface (``encode`` / ``estimate_workload``) and ``batch`` is true,
-    the workload goes through the vectorized engine, which is
-    bit-identical to the per-query loop.
+    interface (``encode`` / ``estimate_workload``), the workload goes
+    through the vectorized engine, which is bit-identical to the
+    per-query loop.
     """
-    return evaluate_workload_many(queries, exact, {"_": estimator},
-                                  batch=batch)["_"]
+    return evaluate_workload_many(queries, exact, {"_": estimator})["_"]
 
 
 def evaluate_workload_many(queries: Sequence[CountQuery], exact,
-                           estimators: dict[str, object], *,
-                           batch: bool = True
+                           estimators: dict[str, object]
                            ) -> dict[str, WorkloadResult]:
     """Evaluate several estimators over the same workload with one pass of
     ground-truth computation (the expensive part).
 
-    With ``batch`` (default) and batch-capable evaluators, the workload
-    is encoded once and shared by the ground truth and every estimator;
-    otherwise falls back to the per-query loop.
+    With batch-capable evaluators, the workload is encoded once and
+    shared by the ground truth and every estimator; otherwise falls
+    back to the per-query loop.
     """
-    if (batch and _supports_batch(exact)
+    if (_supports_batch(exact)
             and all(_supports_batch(e) for e in estimators.values())):
         return _evaluate_batch(queries, exact, estimators)
     results = {name: WorkloadResult() for name in estimators}

@@ -124,6 +124,12 @@ class TestPartitionStructure:
             assert anatomy_rce(partition) == pytest.approx(
                 anatomize_rce_formula(n, l))
 
+    def test_signature_has_no_method(self, balanced_table):
+        with pytest.raises(TypeError):
+            anatomize_partition(balanced_table, 5, method="heap")
+        with pytest.raises(TypeError):
+            anatomize(balanced_table, 5, method="heap")
+
 
 class TestPublication:
     def test_qit_row_count(self, occ3_published, occ3):
@@ -168,8 +174,7 @@ class TestBucketHeapBehaviour:
         table = Table(schema, {
             "A": np.zeros(n, dtype=np.int32),
             "S": np.asarray(codes, dtype=np.int32)})
-        partition = anatomize_partition(table, l=l, seed=4,
-                                        method="heap")
+        partition = anatomize_partition(table, l=l, seed=4)
         assert partition.is_l_diverse(l)
         assert sum(g.size for g in partition) == n
 
@@ -187,11 +192,29 @@ class TestBucketHeapBehaviour:
         assert heap.nonempty_count == 0
         assert heap.size(0) == 0
 
+    def test_equal_sizes_pop_in_mapping_order(self):
+        """Ties between equal sizes go to the bucket that comes first in
+        the mapping's iteration order (ascending codes, as
+        ``anatomize`` builds it)."""
+        heap = _BucketHeap({0: 2, 1: 1, 2: 2, 3: 2, 4: 1})
+        assert heap.pop_largest(2) == [0, 2]     # sizes: 1, 1, 1, 2, 1
+        assert heap.pop_largest(3) == [3, 0, 1]  # sizes: 0, 0, 1, 1, 1
+        assert heap.pop_largest(3) == [2, 3, 4]
+        assert heap.nonempty_count == 0
+
+    def test_ties_follow_mapping_order_not_code_order(self):
+        """The incremental anatomizer hands the heap its buffer in
+        first-arrival order, so ties must not fall back to codes."""
+        heap = _BucketHeap({7: 2, 3: 2, 5: 2, 1: 1, 9: 2})
+        assert heap.pop_largest(2) == [7, 3]     # sizes: 1, 1, 2, 1, 2
+        assert heap.pop_largest(3) == [5, 9, 7]  # sizes: 0, 1, 1, 1, 1
+        assert heap.pop_largest(4) == [3, 5, 1, 9]
+        assert heap.nonempty_count == 0
+
 
 class TestFastVsHeap:
-    """The vectorized dealer must be interchangeable with the Figure 3
-    heap loop: both l-diverse, identical group-size multisets for the
-    same seed."""
+    """Figure 3 on a grid of ``(n, l)`` cases where the group-size
+    multiset is forced."""
 
     # (n, l) pairs with every sensitive count <= m - r, so residues can
     # always spread to distinct groups and the size multiset is forced
@@ -205,21 +228,15 @@ class TestFastVsHeap:
 
     @pytest.mark.parametrize("n,l", CASES)
     def test_same_group_size_multiset(self, n, l):
-        table = self._table(n)
-        fast = anatomize_partition(table, l, seed=9, method="fast")
-        heap = anatomize_partition(table, l, seed=9, method="heap")
-        assert sorted(g.size for g in fast) \
-            == sorted(g.size for g in heap)
+        partition = anatomize_partition(self._table(n), l, seed=9)
         r = n % l
-        sizes = sorted(g.size for g in fast)
+        sizes = sorted(g.size for g in partition)
         assert sizes.count(l + 1) == r
         assert sizes.count(l) == n // l - r
 
-    @pytest.mark.parametrize("method", ["fast", "heap"])
     @pytest.mark.parametrize("n,l", CASES)
-    def test_both_methods_property_3(self, n, l, method):
-        partition = anatomize_partition(self._table(n), l, seed=2,
-                                        method=method)
+    def test_both_methods_property_3(self, n, l):
+        partition = anatomize_partition(self._table(n), l, seed=2)
         assert partition.is_l_diverse(l)
         assert partition.m == n // l
         for g in partition:
@@ -227,41 +244,6 @@ class TestFastVsHeap:
             assert len(np.unique(codes)) == len(codes)
         rows = np.sort(np.concatenate([g.indices for g in partition]))
         assert np.array_equal(rows, np.arange(n))
-
-    def test_heap_is_the_default(self, occ3):
-        """The Figure 3 heap stays the default (its code-local groups
-        preserve downstream utility better — see module docstring);
-        the dealer is the opt-in speed path."""
-        default = anatomize_partition(occ3, l=10, seed=11)
-        heap = anatomize_partition(occ3, l=10, seed=11, method="heap")
-        for g1, g2 in zip(default, heap):
-            assert np.array_equal(g1.indices, g2.indices)
-
-    def test_fast_matches_heap_on_census_view(self, occ3):
-        fast = anatomize_partition(occ3, l=10, seed=0, method="fast")
-        heap = anatomize_partition(occ3, l=10, seed=0, method="heap")
-        assert fast.is_l_diverse(10)
-        assert heap.is_l_diverse(10)
-        assert sorted(g.size for g in fast) \
-            == sorted(g.size for g in heap)
-
-    def test_fast_seed_determinism(self):
-        table = self._table(57)
-        p1 = anatomize_partition(table, 5, seed=123, method="fast")
-        p2 = anatomize_partition(table, 5, seed=123, method="fast")
-        for g1, g2 in zip(p1, p2):
-            assert np.array_equal(g1.indices, g2.indices)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            anatomize_partition(self._table(20), 4, method="turbo")
-
-    def test_fast_theorem4_rce(self):
-        for n, l in self.CASES:
-            partition = anatomize_partition(self._table(n), l, seed=0,
-                                            method="fast")
-            assert anatomy_rce(partition) == pytest.approx(
-                anatomize_rce_formula(n, l))
 
 
 def test_make_balanced_table_helper(tiny_schema):

@@ -39,6 +39,31 @@ class TestIngestion:
         with pytest.raises(SchemaError):
             inc.insert_codes([(99, 0)])
 
+    @pytest.mark.parametrize("bad_row", [
+        (0, 99), (1,), ("x", 1), (None, 1), (1.7, 1), (True, 1),
+        (np.bool_(True), 1), (1.0, 1), (2**70, 1), (-1, 1)],
+        ids=["domain", "arity", "str", "none", "float", "bool",
+             "numpy-bool", "integral-float", "huge", "negative"])
+    def test_rejected_batch_is_all_or_nothing(self, schema, bad_row):
+        """A batch with one bad row buffers none of its rows: the
+        version and buffered count stay put, and a later valid batch
+        does not publish the rejected batch's good rows."""
+        inc = IncrementalAnatomizer(schema, l=2)
+        inc.insert_codes([(0, 1)])
+        with pytest.raises(SchemaError):
+            inc.insert_codes([(1, 1), (2, 2), bad_row])
+        assert (inc.version, inc.buffered_count) == (0, 1)
+        assert inc.insert_codes([(3, 2)]) == 1
+        assert inc.microdata().code_matrix().tolist() in (
+            [[0, 1], [3, 2]], [[3, 2], [0, 1]])
+
+    def test_numpy_integer_codes_buffer_as_python_ints(self, schema):
+        inc = IncrementalAnatomizer(schema, l=3)
+        inc.insert_codes([(np.int64(4), np.int32(1)), [5, np.uint8(2)]])
+        rows = [row for bucket in inc._buffer.values() for row in bucket]
+        assert rows == [(4, 1), (5, 2)]
+        assert all(type(code) is int for row in rows for code in row)
+
     def test_insert_rows_decoded(self):
         inc = IncrementalAnatomizer(hospital_schema(), l=2)
         inc.insert_rows(HOSPITAL_ROWS[:2])
@@ -52,6 +77,28 @@ class TestIngestion:
     def test_invalid_l(self, schema):
         with pytest.raises(ReproError):
             IncrementalAnatomizer(schema, l=0)
+
+
+class TestGolden:
+    def test_tied_buckets_seal_in_arrival_order(self, schema):
+        """A fixed seed and batch sequence give fixed sealed groups.
+        Equal bucket sizes are broken by first arrival: the second
+        group takes its 4 before its 2."""
+        inc = IncrementalAnatomizer(schema, l=3, seed=5)
+        batches = [[4, 2, 4, 2, 7], [9, 9, 2, 4, 1],
+                   [7, 7, 3, 3, 9, 1, 1], [5, 6, 5, 6, 8, 8, 2, 2]]
+        trace, start = [], 0
+        for batch in batches:
+            sealed = inc.insert_codes(rows_for(schema, batch, start))
+            start += len(batch)
+            trace.append((sealed, inc.version, inc.buffered_count))
+        assert trace == [(1, 1, 2), (2, 3, 1), (2, 5, 2), (3, 8, 1)]
+        assert inc._groups == [
+            [(2, 4), (3, 2), (4, 7)], [(0, 4), (7, 2), (5, 9)],
+            [(8, 4), (1, 2), (6, 9)], [(15, 1), (11, 7), (12, 3)],
+            [(16, 1), (10, 7), (14, 9)], [(23, 2), (17, 5), (18, 6)],
+            [(22, 8), (24, 2), (9, 1)], [(13, 3), (19, 5), (20, 6)]]
+        assert inc.buffered_histogram() == {8: 1}
 
 
 class TestPublication:

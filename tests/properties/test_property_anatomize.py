@@ -7,7 +7,7 @@ paper's Properties 1-3, Corollary 1, and Theorem 4 — they must hold for
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.anatomize import anatomize, anatomize_partition
@@ -107,12 +107,11 @@ def loop_breach_bound(published) -> float:
     return worst
 
 
-@pytest.mark.parametrize("method", ["heap", "fast"])
 @settings(max_examples=40, deadline=None)
 @given(eligible_instance())
-def test_breach_bound_matches_group_loop(method, instance):
+def test_breach_bound_matches_group_loop(instance):
     codes, l = instance
-    published = anatomize(build_table(codes), l, seed=0, method=method)
+    published = anatomize(build_table(codes), l, seed=0)
     assert published.breach_probability_bound() == \
         loop_breach_bound(published)
 
@@ -156,58 +155,3 @@ def test_privacy_independent_of_seed(instance, seed):
     table = build_table(codes)
     partition = anatomize_partition(table, l, seed=seed)
     assert partition.is_l_diverse(l)
-
-
-@settings(max_examples=60, deadline=None)
-@given(eligible_instance(), st.integers(min_value=0, max_value=2**16))
-def test_fast_method_same_structure_properties(instance, seed):
-    """The vectorized dealer satisfies the same Properties 1-3 on every
-    input (the default path, exercised above, is the Figure 3 heap)."""
-    codes, l = instance
-    table = build_table(codes)
-    partition = anatomize_partition(table, l, seed=seed, method="fast")
-    rows = np.sort(np.concatenate([g.indices for g in partition]))
-    assert np.array_equal(rows, np.arange(len(table)))
-    assert partition.m == len(table) // l
-    assert all(g.size >= l for g in partition)
-    assert sum(g.size - l for g in partition) == len(table) % l
-    for g in partition:
-        values = g.sensitive_codes()
-        assert len(np.unique(values)) == len(values)
-    assert partition.is_l_diverse(l)
-
-
-@st.composite
-def spreadable_instance(draw):
-    """Instances where every sensitive count is at most ``m - r``, so
-    residues can always be spread over distinct groups and the
-    group-size multiset is forced to ``{l+1: r, l: m-r}``."""
-    l = draw(st.integers(min_value=2, max_value=6))
-    n = draw(st.integers(min_value=max(4 * l, 12), max_value=120))
-    m, r = n // l, n % l
-    assume(m - r >= 1)
-    min_values = -(-n // (m - r))  # ceil: cap counts at m - r
-    assume(min_values <= 32)
-    values = draw(st.integers(min_value=max(min_values, l + 1),
-                              max_value=32))
-    shift = draw(st.integers(min_value=0, max_value=31))
-    codes = [(c + shift) % 32 for c in np.resize(np.arange(values), n)]
-    return codes, l
-
-
-@settings(max_examples=60, deadline=None)
-@given(spreadable_instance(), st.integers(min_value=0, max_value=2**16))
-def test_fast_and_heap_same_size_multiset(instance, seed):
-    """For the same seed, the fast and heap paths are interchangeable:
-    both l-diverse with identical group-size multisets."""
-    codes, l = instance
-    table = build_table(codes)
-    fast = anatomize_partition(table, l, seed=seed, method="fast")
-    heap = anatomize_partition(table, l, seed=seed, method="heap")
-    assert fast.is_l_diverse(l)
-    assert heap.is_l_diverse(l)
-    fast_sizes = sorted(g.size for g in fast)
-    assert fast_sizes == sorted(g.size for g in heap)
-    r = len(table) % l
-    assert fast_sizes.count(l + 1) == r
-    assert all(size in (l, l + 1) for size in fast_sizes)

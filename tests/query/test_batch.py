@@ -174,14 +174,25 @@ class TestBatchMatchesPerQuery:
         assert batch[0] == estimator.estimate(query)
 
 
+class EstimateOnly:
+    """An evaluator without the batch interface, which sends a workload
+    through the per-query loop."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def estimate(self, query):
+        return self.inner.estimate(query)
+
+
 class TestEvaluateWorkloadBatch:
     def test_many_matches_per_query_loop(self, evaluators, workload):
         exact = evaluators["exact"]
         estimators = {k: v for k, v in evaluators.items()
                       if k != "exact"}
         batched = evaluate_workload_many(workload, exact, estimators)
-        looped = evaluate_workload_many(workload, exact, estimators,
-                                        batch=False)
+        looped = evaluate_workload_many(workload, EstimateOnly(exact),
+                                        estimators)
         for name in estimators:
             assert batched[name].errors == looped[name].errors
             assert batched[name].actuals == looped[name].actuals
@@ -193,19 +204,12 @@ class TestEvaluateWorkloadBatch:
         batched = evaluate_workload(workload, evaluators["exact"],
                                     evaluators["anatomy"])
         looped = evaluate_workload(workload, evaluators["exact"],
-                                   evaluators["anatomy"], batch=False)
+                                   EstimateOnly(evaluators["anatomy"]))
         assert batched.errors == looped.errors
         assert batched.skipped_zero_actual == looped.skipped_zero_actual
 
     def test_falls_back_for_plain_estimators(self, evaluators, workload):
-        class Plain:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def estimate(self, query):
-                return self.inner.estimate(query)
-
-        plain = Plain(evaluators["anatomy"])
+        plain = EstimateOnly(evaluators["anatomy"])
         result = evaluate_workload(workload, evaluators["exact"], plain)
         reference = evaluate_workload(workload, evaluators["exact"],
                                       evaluators["anatomy"])

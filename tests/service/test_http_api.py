@@ -344,6 +344,30 @@ class TestDecodedValueTypes:
         assert api("GET", "/publications/p")[1]["buffered"] == 0
 
 
+class TestCodeIngestValidation:
+    """An ingest of codes is all-or-nothing and takes integers only."""
+
+    @pytest.mark.parametrize("code", [99, "x", None, 1.7, True],
+                             ids=["out-of-domain", "string", "null",
+                                  "float", "true"])
+    def test_bad_row_rejects_the_whole_batch(self, api, code):
+        create_publication(api)
+        status, payload = api("POST", "/publications/p/ingest",
+                              {"rows": [[0, 1], [0, code]]})
+        assert status == 400, payload
+        state = api("GET", "/publications/p")[1]
+        assert (state["version"], state["buffered"]) == (0, 0)
+        # The good row of the rejected batch is never published.
+        status, result = api("POST", "/publications/p/ingest",
+                             {"rows": [[1, 2], [2, 3], [3, 4]]})
+        assert status == 200
+        assert (result["version"], result["buffered"]) == (1, 0)
+        status, release = api(
+            "GET", "/publications/p/publish?include_tables=1")
+        assert sorted(row[0] for row in release["release"]["qit"]) \
+            == [1, 2, 3]
+
+
 class TestEndToEnd:
     def test_two_wave_ingest_with_cache_invalidation(self, api):
         create_publication(api)
