@@ -22,6 +22,14 @@ natural incremental scheme:
   ``l - 1`` distinct sensitive values; how many depends on the
   stream's skew.
 
+Concurrency: one writer (:meth:`insert_codes` and the methods that
+call it) and any number of readers (:attr:`version`, :meth:`publish`,
+:meth:`microdata`) may use an anatomizer at once without a lock.  The
+read side changes no state, groups are only ever appended, and a
+group's row list is complete before it is appended, so a reader that
+asks for version ``v <= version`` always sees the same ``v`` groups.
+Writers must be serialized by the caller.
+
 Scope note: this addresses *insertions* only.  Full re-publication
 semantics with deletions and counterfeit tuples is the m-invariance
 line of follow-up work and is out of scope for this reproduction.
@@ -83,8 +91,6 @@ class IncrementalAnatomizer:
         #: maintained incrementally).
         self._buffer: dict[int, list[tuple[int, ...]]] = {}
         self._buffered = 0
-        #: Cached (version, release) pair backing snapshot semantics.
-        self._release_cache: tuple[int, AnatomizedTables] | None = None
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -231,22 +237,17 @@ class IncrementalAnatomizer:
         Group-IDs are stable across successive calls — group ``j`` in
         one release is group ``j`` in every later release, with
         identical membership — so the release at version ``v`` is the
-        first ``v`` sealed groups.  Repeated calls are side-effect-free
-        snapshots: the current release is built once per version and
-        the same (immutable) object is returned until new groups seal.
+        first ``v`` sealed groups.  Each call builds a new release and
+        changes no state; a caller that serves one version repeatedly
+        caches it (as :meth:`~repro.service.registry.Publication.snapshot`
+        does).
         """
         version = self._check_version(at_version)
-        cached = self._release_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
         table = self._rows_table(version)
         groups = [range(j * self.l, (j + 1) * self.l)
                   for j in range(version)]
         partition = Partition(table, groups, validate=False)
-        release = AnatomizedTables.from_partition(partition)
-        if at_version is None or version == self.version:
-            self._release_cache = (version, release)
-        return release
+        return AnatomizedTables.from_partition(partition)
 
     def microdata(self, at_version: int | None = None) -> Table:
         """The *published* rows at ``at_version`` as a microdata table.

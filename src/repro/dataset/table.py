@@ -186,9 +186,7 @@ class Table:
 
     def iter_rows(self) -> Iterable[tuple[int, ...]]:
         """Iterate over rows as code tuples (schema attribute order)."""
-        matrix = self.code_matrix()
-        for row in matrix:
-            yield tuple(int(v) for v in row)
+        return map(tuple, self.code_matrix().tolist())
 
     # ------------------------------------------------------------------ #
     # relational-ish operations

@@ -4,9 +4,9 @@ The serving layer turns the one-shot anatomize/query workflow into a
 living system (the ROADMAP's north star):
 
 * :mod:`repro.service.registry` — named, versioned publications, each
-  wrapping an :class:`~repro.core.incremental.IncrementalAnatomizer`
-  behind a reader-writer lock; ingesting seals new immutable groups
-  and bumps the version.
+  wrapping an :class:`~repro.core.incremental.IncrementalAnatomizer`;
+  ingesting seals new immutable groups and bumps the version, and
+  reads never wait for an ingest.
 * :mod:`repro.service.frontend` — concurrent COUNT queries, coalesced
   into micro-batches for the vectorized batch engine, answered from an
   LRU result cache keyed by ``(publication, version, fingerprint)``.
@@ -16,8 +16,7 @@ living system (the ROADMAP's north star):
   gauges from :mod:`repro.obs`), ``/stats``, and — under ``--trace`` /
   ``--log-json`` — hierarchical trace spans and a structured JSON
   request log.
-* :mod:`repro.service.cache` / :mod:`repro.service.locks` — the
-  supporting LRU cache and reader-writer lock.
+* :mod:`repro.service.cache` — the supporting LRU result cache.
 """
 
 from repro.service.cache import LRUCache, query_fingerprint
@@ -27,7 +26,6 @@ from repro.service.http import (
     ReproService,
     make_server,
 )
-from repro.service.locks import RWLock
 from repro.service.registry import (
     Publication,
     PublicationRegistry,
@@ -45,7 +43,6 @@ __all__ = [
     "QueryFrontend",
     "ReproHTTPServer",
     "ReproService",
-    "RWLock",
     "make_server",
     "query_fingerprint",
     "schema_from_json",

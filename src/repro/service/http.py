@@ -553,14 +553,20 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         schema_spec = body.get("schema")
         if not name or not isinstance(name, str):
             raise _HTTPError(400, "create needs a non-empty 'name'")
-        if not isinstance(l, int) or l < 1:
+        if type(l) is not int or l < 1:
             raise _HTTPError(400, "create needs an integer 'l' >= 1")
         if schema_spec is None:
             raise _HTTPError(400, "create needs a 'schema' spec")
+        seed = body.get("seed", 0)
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise _HTTPError(400, "'seed' must be an integer >= 0 or "
+                                  "null")
+        retain = body.get("retain_microdata", True)
+        if type(retain) is not bool:
+            raise _HTTPError(400, "'retain_microdata' must be a boolean")
         schema = schema_from_json(schema_spec)
         publication = service.registry.create(
-            name, schema, l, seed=body.get("seed", 0),
-            retain_microdata=bool(body.get("retain_microdata", True)))
+            name, schema, l, seed=seed, retain_microdata=retain)
         payload = publication.stats()
         payload["schema"] = schema_to_json(schema)
         return 201, payload

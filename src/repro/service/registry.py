@@ -1,4 +1,4 @@
-"""Named, versioned anatomized publications behind reader-writer locks.
+"""Named, versioned anatomized publications that readers never wait on.
 
 A :class:`Publication` wraps an
 :class:`~repro.core.incremental.IncrementalAnatomizer`: ingesting new
@@ -8,27 +8,30 @@ has ever served is a prefix of the current group sequence, and an
 adversary correlating releases learns nothing about old tuples (see
 :mod:`repro.core.incremental`).
 
-Queries never touch the anatomizer directly; they read an immutable
-:class:`PublicationSnapshot` — ``(version, release, estimator)`` —
-captured under the publication's read lock.  The snapshot for the
-current version is built at most once (double-checked under a separate
-build mutex) and shared by every concurrent reader, so a query stream
-costs one :class:`~repro.query.estimators.AnatomyEstimator`
-construction per version, not per query.  Ingestion takes the write
-lock, which the lock's writer priority keeps reachable under heavy
-query load; a reader can therefore never observe a half-sealed release.
+One mutex serializes ingests.  Before it releases that mutex, an ingest
+replaces the publication's *head* — an immutable record of the
+acknowledged version and counts — in one assignment.  Reads take no
+lock an ingest holds: they load the head, and because groups are only
+appended, the release at the head's version stays readable while later
+groups seal.  Queries read an immutable :class:`PublicationSnapshot` —
+``(version, release, estimator)`` — of the head's version or a later
+one.  Each version's snapshot is built at most once (double-checked
+under a build mutex that no writer takes) and shared by every
+concurrent reader, so a query stream costs one
+:class:`~repro.query.estimators.AnatomyEstimator` construction per
+version, not per query, and an ingest never waits for a build.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.incremental import IncrementalAnatomizer
 from repro.core.tables import AnatomizedTables
 from repro.dataset.schema import Attribute, AttributeKind, Schema
-from repro.exceptions import ServiceError
+from repro.exceptions import ReproError, SchemaError, ServiceError
 from repro.obs import metrics
 from repro.obs.audit import (
     PrivacyAudit,
@@ -37,7 +40,11 @@ from repro.obs.audit import (
 )
 from repro.obs.tracing import span
 from repro.query.estimators import AnatomyEstimator
-from repro.service.locks import RWLock
+
+#: Largest attribute domain a JSON schema may declare.  The largest
+#: domain in the paper's data is Country's 83 values (Table 6); the
+#: bound keeps a short request from allocating a huge domain.
+MAX_DOMAIN_SIZE = 1 << 16
 
 
 def schema_to_json(schema: Schema) -> dict:
@@ -55,30 +62,49 @@ def schema_from_json(spec: dict) -> Schema:
 
     Each attribute is ``{"name": ..., "values": [...]}`` or
     ``{"name": ..., "size": k}`` (domain ``0..k-1``), with an optional
-    ``"kind"`` of ``"numeric"`` or ``"categorical"`` (default).
+    ``"kind"`` of ``"numeric"`` or ``"categorical"`` (default).  A
+    malformed spec, or a domain of more than :data:`MAX_DOMAIN_SIZE`
+    values, raises :class:`~repro.exceptions.SchemaError`.
     """
     def attr(entry: Any) -> Attribute:
         if not isinstance(entry, dict) or "name" not in entry:
-            raise ServiceError(
+            raise SchemaError(
                 f"attribute spec must be an object with a 'name', "
                 f"got {entry!r}")
+        name = entry["name"]
         if "values" in entry:
             values = entry["values"]
+            if not isinstance(values, list) \
+                    or len(values) > MAX_DOMAIN_SIZE \
+                    or any(isinstance(v, (list, dict)) for v in values):
+                raise SchemaError(
+                    f"attribute {name!r}: 'values' must be a list of at "
+                    f"most {MAX_DOMAIN_SIZE} scalars")
         elif "size" in entry:
-            values = range(int(entry["size"]))
+            size = entry["size"]
+            if type(size) is not int or not 1 <= size <= MAX_DOMAIN_SIZE:
+                raise SchemaError(
+                    f"attribute {name!r}: 'size' must be an integer in "
+                    f"[1, {MAX_DOMAIN_SIZE}], got {size!r}")
+            values = range(size)
         else:
-            raise ServiceError(
-                f"attribute {entry['name']!r} needs 'values' or 'size'")
-        kind = AttributeKind(entry.get("kind", "categorical"))
-        return Attribute(entry["name"], values, kind=kind)
+            raise SchemaError(
+                f"attribute {name!r} needs 'values' or 'size'")
+        try:
+            kind = AttributeKind(entry.get("kind", "categorical"))
+        except ValueError:
+            raise SchemaError(
+                f"attribute {name!r}: unknown kind "
+                f"{entry['kind']!r}") from None
+        return Attribute(name, values, kind=kind)
 
     if not isinstance(spec, dict):
-        raise ServiceError(f"schema spec must be an object, got {spec!r}")
+        raise SchemaError(f"schema spec must be an object, got {spec!r}")
     qi = spec.get("qi")
     sensitive = spec.get("sensitive")
-    if not qi or sensitive is None:
-        raise ServiceError("schema spec needs 'qi' (non-empty list) "
-                           "and 'sensitive'")
+    if not isinstance(qi, list) or not qi or sensitive is None:
+        raise SchemaError("schema spec needs 'qi' (non-empty list) "
+                          "and 'sensitive'")
     return Schema([attr(a) for a in qi], attr(sensitive))
 
 
@@ -111,6 +137,15 @@ class PublicationSnapshot:
                 f"groups={0 if self.release is None else self.release.st.group_count()})")
 
 
+class _Head(NamedTuple):
+    """The counts of a publication's last acknowledged ingest."""
+
+    version: int
+    published_tuples: int
+    buffered: int
+    flush_report: dict[str, int]
+
+
 class Publication:
     """One named, growing, l-diverse publication."""
 
@@ -126,8 +161,9 @@ class Publication:
         #: release — but nothing outside the write path reads them.
         self.retain_microdata = bool(retain_microdata)
         self._anatomizer = IncrementalAnatomizer(schema, l, seed=seed)
-        self._rwlock = RWLock()
+        self._ingest_lock = threading.Lock()
         self._build_lock = threading.Lock()
+        self._head = self._acknowledged()
         self._snapshot = PublicationSnapshot(self.name, 0, None, None)
 
     @property
@@ -140,11 +176,19 @@ class Publication:
 
     @property
     def version(self) -> int:
-        return self._anatomizer.version
+        """The version of the last acknowledged ingest."""
+        return self._head.version
 
     # ------------------------------------------------------------------ #
     # writes
     # ------------------------------------------------------------------ #
+
+    def _acknowledged(self) -> _Head:
+        """The anatomizer's counts; called only where no ingest runs
+        concurrently (under the ingest mutex, or at construction)."""
+        anat = self._anatomizer
+        return _Head(anat.version, anat.published_tuple_count,
+                     anat.buffered_count, anat.flush_report())
 
     def ingest(self, rows: Iterable[Sequence[Any]], *,
                decoded: bool = False) -> dict:
@@ -154,100 +198,102 @@ class Publication:
         rows = list(rows)
         with span("service.ingest", publication=self.name,
                   rows=len(rows)):
-            with self._rwlock.write_locked():
+            with self._ingest_lock:
                 if decoded:
                     sealed = self._anatomizer.insert_rows(rows)
                 else:
                     sealed = self._anatomizer.insert_codes(rows)
-                result = {
-                    "publication": self.name,
-                    "rows": len(rows),
-                    "sealed_groups": sealed,
-                    "version": self._anatomizer.version,
-                    "published_tuples":
-                        self._anatomizer.published_tuple_count,
-                    "buffered": self._anatomizer.buffered_count,
-                }
+                head = self._head = self._acknowledged()
         if metrics.enabled():
             metrics.inc("repro_service_ingest_rows_total", len(rows),
                         publication=self.name)
-        return result
+        return {
+            "publication": self.name,
+            "rows": len(rows),
+            "sealed_groups": sealed,
+            "version": head.version,
+            "published_tuples": head.published_tuples,
+            "buffered": head.buffered,
+        }
 
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> PublicationSnapshot:
-        """The current version's immutable snapshot (shared, built at
-        most once per version)."""
-        with self._rwlock.read_locked():
-            version = self._anatomizer.version
+        """The snapshot of the last acknowledged version, or of a later
+        one (shared, built at most once per version)."""
+        version = self._head.version
+        snap = self._snapshot
+        if snap.version >= version:
+            return snap
+        # Readers may race here; the build mutex, which no writer
+        # takes, elects one builder per version.
+        with self._build_lock:
             snap = self._snapshot
-            if snap.version == version:
+            if snap.version >= version:
                 return snap
-            # Readers may race here; the build mutex elects one builder
-            # per version while writers stay excluded by the read lock.
-            with self._build_lock:
-                snap = self._snapshot
-                if snap.version == version:
-                    return snap
-                with span("service.snapshot", publication=self.name,
-                          version=version):
-                    release = self._anatomizer.publish()
-                    estimator = AnatomyEstimator(release)
-                    audit = audit_publication(release,
-                                              self._anatomizer.l)
-                record_publication_audit(self.name, version, audit)
-                snap = PublicationSnapshot(self.name, version, release,
-                                           estimator, audit)
-                self._snapshot = snap
-                return snap
+            with span("service.snapshot", publication=self.name,
+                      version=version):
+                release = self._anatomizer.publish(at_version=version)
+                estimator = AnatomyEstimator(release)
+                audit = audit_publication(release, self._anatomizer.l)
+            record_publication_audit(self.name, version, audit)
+            snap = PublicationSnapshot(self.name, version, release,
+                                       estimator, audit)
+            self._snapshot = snap
+            return snap
+
+    def _checked_version(self, at_version: int | None) -> int:
+        """``at_version`` (default: the acknowledged one), refused if
+        no acknowledged ingest reached it yet."""
+        head = self._head.version
+        version = head if at_version is None else int(at_version)
+        if version > head:
+            raise ReproError(f"no release at version {version}; current "
+                             f"version is {head}")
+        return version
 
     def ground_truth_table(self, at_version: int | None = None):
         """The published microdata behind one release, or ``None``.
 
         ``None`` when the publication was created with
         ``retain_microdata=False`` (ground truth is policy-walled) or
-        when nothing has been published yet.  Taken under the read
-        lock so a concurrent ingest can never hand back rows from a
-        half-sealed release.
+        when nothing has been published yet.
         """
         if not self.retain_microdata:
             return None
-        with self._rwlock.read_locked():
-            version = self._anatomizer.version if at_version is None \
-                else int(at_version)
-            if version == 0:
-                return None
-            return self._anatomizer.microdata(at_version=version)
+        version = self._checked_version(at_version)
+        if version == 0:
+            return None
+        return self._anatomizer.microdata(at_version=version)
 
     def release_at(self, version: int) -> AnatomizedTables:
         """The historical release at ``version`` (groups are immutable,
         so it is the first ``version`` groups of the current state)."""
-        with self._rwlock.read_locked():
-            return self._anatomizer.publish(at_version=version)
+        return self._anatomizer.publish(
+            at_version=self._checked_version(version))
 
     def stats(self) -> dict:
-        with self._rwlock.read_locked():
-            anat = self._anatomizer
-            snap = self._snapshot
-            audit = None
-            if snap.audit is not None:
-                audit = dict(snap.audit.to_json(),
-                             audited_version=snap.version)
-            return {
-                "publication": self.name,
-                "l": anat.l,
-                "retain_microdata": self.retain_microdata,
-                "version": anat.version,
-                "groups": anat.group_count,
-                "published_tuples": anat.published_tuple_count,
-                "buffered": anat.buffered_count,
-                "breach_probability_bound":
-                    (1.0 / anat.l) if anat.group_count else 0.0,
-                "privacy_audit": audit,
-                "flush_report": anat.flush_report(),
-            }
+        head = self._head
+        snap = self._snapshot
+        audit = None
+        if snap.audit is not None:
+            audit = dict(snap.audit.to_json(),
+                         audited_version=snap.version)
+        return {
+            "publication": self.name,
+            "l": self.l,
+            "retain_microdata": self.retain_microdata,
+            "version": head.version,
+            "groups": head.version,
+            "published_tuples": head.published_tuples,
+            "buffered": head.buffered,
+            "breach_probability_bound":
+                (1.0 / self.l) if head.version else 0.0,
+            "privacy_audit": audit,
+            "flush_report": dict(head.flush_report),
+        }
 
     def __repr__(self) -> str:
         return (f"Publication({self.name!r}, l={self.l}, "

@@ -187,11 +187,14 @@ class TestVersioning:
         assert seen == sorted(seen)
         assert seen[-1] == inc.group_count
 
-    def test_publish_is_cached_snapshot_per_version(self, schema):
+    def test_publish_is_side_effect_free_snapshot(self, schema):
         inc = IncrementalAnatomizer(schema, l=3)
         inc.insert_codes(rows_for(schema, [0, 1, 2, 3, 4, 5]))
         first = inc.publish()
-        assert inc.publish() is first  # side-effect-free repeat
+        repeat = inc.publish()  # a new, equal release; no state change
+        assert inc.version == 2
+        assert [repeat.st.group_histogram(g) for g in (1, 2)] \
+            == [first.st.group_histogram(g) for g in (1, 2)]
         inc.insert_codes(rows_for(schema, [6, 7, 8]))
         second = inc.publish()
         assert second is not first

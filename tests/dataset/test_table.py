@@ -107,7 +107,8 @@ class TestAccess:
     def test_iter_rows(self, table):
         rows = list(table.iter_rows())
         assert rows[0] == (0, 0, 0)
-        assert len(rows) == 5
+        assert rows == [table.row_codes(i) for i in range(len(table))]
+        assert {type(code) for row in rows for code in row} == {int}
 
     def test_sensitive_histogram(self, table):
         assert table.sensitive_histogram() == {0: 2, 1: 2, 2: 1}

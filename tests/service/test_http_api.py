@@ -112,6 +112,36 @@ class TestLifecycle:
         assert api("POST", "/publications/p/ingest",
                    {"rows": [[999, 0]]})[0] == 400
 
+    @pytest.mark.parametrize("change", [
+        *[{"schema": {"qi": qi, "sensitive": {"name": "S", "size": 20}}}
+          for qi in [
+            [{"name": "A", "size": "x"}],
+            [{"name": "A", "size": 5, "kind": "bogus"}],
+            [{"name": "A", "values": 5}],
+            [],
+            [{"name": "A"}],
+            [{"name": "A", "size": True}],
+            # one value past repro.service.registry.MAX_DOMAIN_SIZE
+            [{"name": "A", "size": (1 << 16) + 1}],
+        ]],
+        {"seed": "abc"},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"l": True},
+        {"retain_microdata": "false"},
+    ], ids=lambda change: json.dumps(change.get("schema", {}).get("qi",
+                                                                 change)))
+    def test_malformed_create_answered_with_400(self, api, change):
+        body = {"name": "p", "l": 3, "schema": SCHEMA_SPEC, **change}
+        status, payload = api("POST", "/publications", body)
+        assert status == 400, payload
+        assert api("GET", "/publications/p")[0] == 404
+
+    def test_null_seed_accepted(self, api):
+        status, payload = api("POST", "/publications", {
+            "name": "p", "l": 3, "schema": SCHEMA_SPEC, "seed": None})
+        assert status == 201, payload
+
 
 def raw_exchange(server, request: bytes) -> tuple[bytes, dict]:
     """Send raw request bytes and read until the server hangs up;

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.exceptions import QueryError, ServiceError
+from repro.exceptions import QueryError, SchemaError, ServiceError
 from repro.service.registry import (
+    MAX_DOMAIN_SIZE,
     PublicationRegistry,
     schema_from_json,
     schema_to_json,
@@ -136,7 +137,28 @@ class TestSchemaJson:
         {"qi": [], "sensitive": {"name": "S", "size": 3}},
         {"qi": [{"name": "A"}], "sensitive": {"name": "S", "size": 3}},
         {"qi": [{"size": 5}], "sensitive": {"name": "S", "size": 3}},
+        {"qi": "A", "sensitive": {"name": "S", "size": 3}},
+        {"qi": [{"name": "A", "size": 5}], "sensitive": {"name": "S"}},
+        *[{"qi": [dict(name="A", **attr)],
+           "sensitive": {"name": "S", "size": 3}} for attr in [
+            {"size": "x"},
+            {"size": True},
+            {"size": 2.9},
+            {"size": 0},
+            {"size": MAX_DOMAIN_SIZE + 1},
+            {"values": 5},
+            {"values": [[1], [2]]},
+            {"values": list(range(MAX_DOMAIN_SIZE + 1))},
+            {"size": 5, "kind": "bogus"},
+        ]],
     ])
     def test_bad_specs_rejected(self, spec):
-        with pytest.raises(ServiceError):
+        with pytest.raises(SchemaError):
             schema_from_json(spec)
+
+    def test_largest_domain_accepted(self):
+        spec = {"qi": [{"name": "A", "size": MAX_DOMAIN_SIZE}],
+                "sensitive": {"name": "S", "values": ["x", 1, 2.5]}}
+        schema = schema_from_json(spec)
+        assert schema.attribute("A").size == MAX_DOMAIN_SIZE
+        assert schema.sensitive.values == ("x", 1, 2.5)

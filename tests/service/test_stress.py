@@ -105,8 +105,8 @@ def test_mixed_ingest_query_stress(schema):
 
 
 def test_writers_not_starved_by_readers(schema):
-    """Writer-priority RW locking: ingest completes promptly under a
-    continuous query stream."""
+    """Ingests take only the ingest mutex, which no reader takes:
+    ingest completes promptly under a continuous query stream."""
     registry = PublicationRegistry()
     publication = registry.create("p", schema, l=L)
     publication.ingest([(i % 50, i % 20) for i in range(40)])
